@@ -43,19 +43,19 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.resilience.anchor import TrustAnchor
 
-from repro.engine.btree import BPlusTree
 from repro.engine.database import (
+    INDEX_KINDS,
     CellCodec,
     Database,
     IndexCodecFactory,
-    IndexInfo,
 )
-from repro.engine.indextable import IndexTable
-from repro.engine.schema import Column, ColumnType, TableSchema
+from repro.engine.schema import TableSchema
 from repro.engine.storage import (
+    _read_schema,
     _Reader,
     _write_bytes,
     _write_int,
+    _write_schema,
     _write_text,
     dump_database,
     load_database,
@@ -151,33 +151,8 @@ class WalRecovery:
 
 def _encode_create_table(schema: TableSchema, table_id: int) -> bytes:
     out = io.BytesIO()
-    _write_text(out, schema.name)
-    _write_int(out, table_id)
-    _write_int(out, len(schema.columns))
-    for column in schema.columns:
-        _write_text(out, column.name)
-        _write_text(out, column.type.value)
-        _write_int(out, 1 if column.sensitive else 0)
+    _write_schema(out, schema, table_id)
     return out.getvalue()
-
-
-def _decode_create_table(reader: _Reader) -> tuple[TableSchema, int]:
-    name = reader.read_text()
-    table_id = reader.read_int()
-    column_count = reader.read_count("column")
-    columns = []
-    for _ in range(column_count):
-        column_name = reader.read_text()
-        type_name = reader.read_text()
-        try:
-            column_type = ColumnType(type_name)
-        except ValueError:
-            raise StorageFormatError(
-                f"unknown column type {type_name!r}", offset=reader.offset
-            ) from None
-        sensitive = reader.read_int() == 1
-        columns.append(Column(column_name, column_type, sensitive))
-    return TableSchema(name, columns), table_id
 
 
 def _encode_create_index(
@@ -239,39 +214,6 @@ def _apply_create_table(db: Database, schema: TableSchema, table_id: int) -> Non
         )
 
 
-def _register_empty_index(
-    db: Database,
-    name: str,
-    table_name: str,
-    column_name: str,
-    kind: str,
-    order: int,
-    index_table_id: int,
-) -> None:
-    """Replay of ``create_index``: register the definition with an empty
-    structure; the end-of-replay rebuild fills every index at once."""
-    if name in db._indexes:
-        raise SchemaError(f"index {name!r} already exists")
-    table = db.table(table_name)
-    column_pos = table.schema.column_index(column_name)
-    if db._next_table_id != index_table_id:
-        raise StorageFormatError(
-            f"journal allocates index table id {db._next_table_id}, "
-            f"record says {index_table_id}"
-        )
-    db._next_table_id += 1
-    codec = db._index_codec_factory(index_table_id, table.table_id, column_pos)
-    if kind == "table":
-        structure: IndexTable | BPlusTree = IndexTable(index_table_id, codec)
-    elif kind == "btree":
-        structure = BPlusTree(index_table_id, codec, order=order)
-    else:
-        raise StorageFormatError(f"unknown index kind {kind!r} in journal")
-    info = IndexInfo(name, table_name, column_name, structure)
-    db._indexes[name] = info
-    db._indexes_by_column.setdefault((table_name, column_name), []).append(info)
-
-
 def _apply_insert(
     db: Database, table_name: str, row_id: int, stored_cells: list[bytes]
 ) -> None:
@@ -289,7 +231,7 @@ def _replay_record(db: Database, record: JournalRecord) -> None:
     """Apply one committed record physically (no index maintenance)."""
     reader = _Reader(record.payload)
     if record.op == OP_CREATE_TABLE:
-        schema, table_id = _decode_create_table(reader)
+        schema, table_id = _read_schema(reader)
         _finish(reader)
         _apply_create_table(db, schema, table_id)
     elif record.op == OP_CREATE_INDEX:
@@ -300,7 +242,13 @@ def _replay_record(db: Database, record: JournalRecord) -> None:
         order = reader.read_int()
         index_table_id = reader.read_int()
         _finish(reader)
-        _register_empty_index(db, name, table, column, kind, order, index_table_id)
+        if db.next_table_id != index_table_id:
+            raise StorageFormatError(
+                f"journal allocates index table id {db.next_table_id}, "
+                f"record says {index_table_id}"
+            )
+        # Left empty: the end-of-replay rebuild fills every index at once.
+        db.register_index(name, table, column, kind, order)
     elif record.op == OP_INSERT:
         table_name = reader.read_text()
         row_id = reader.read_int()
@@ -344,20 +292,10 @@ def _rebuild_indexes(db: Database) -> None:
         info = db.index(name)
         table = db.table(info.table)
         column_pos = table.schema.column_index(info.column)
-        pairs = [
+        db.rebuild_index(name, [
             (db._plain_cell(table, row_id, column_pos), row_id)
             for row_id in table.row_ids
-        ]
-        old = info.structure
-        codec = db._index_codec_factory(
-            old.index_table_id, table.table_id, column_pos
-        )
-        if isinstance(old, IndexTable):
-            fresh: IndexTable | BPlusTree = IndexTable(old.index_table_id, codec)
-        else:
-            fresh = BPlusTree(old.index_table_id, codec, order=old.order)
-        fresh.bulk_build(pairs)
-        db.replace_index_structure(name, fresh)
+        ])
 
 
 # ---------------------------------------------------------------------------
@@ -675,9 +613,9 @@ class DurableDatabase:
     # -- journaled mutations --------------------------------------------------
 
     def create_table(self, schema: TableSchema) -> None:
-        if schema.name in self._db._tables:
+        if schema.name in self._db.table_names:
             raise SchemaError(f"table {schema.name!r} already exists")
-        table_id = self._db._next_table_id
+        table_id = self._db.next_table_id
         self._commit(OP_CREATE_TABLE, _encode_create_table(schema, table_id))
         _apply_create_table(self._db, schema, table_id)
 
@@ -685,13 +623,13 @@ class DurableDatabase:
         self, name: str, table_name: str, column_name: str,
         kind: str = "table", order: int = 8,
     ) -> None:
-        if name in self._db._indexes:
+        if name in self._db.index_names:
             raise SchemaError(f"index {name!r} already exists")
-        if kind not in ("table", "btree"):
+        if kind not in INDEX_KINDS:
             raise SchemaError(f"unknown index kind {kind!r}")
         table = self._db.table(table_name)
         table.schema.column_index(column_name)  # validates before journaling
-        index_table_id = self._db._next_table_id
+        index_table_id = self._db.next_table_id
         self._commit(
             OP_CREATE_INDEX,
             _encode_create_index(

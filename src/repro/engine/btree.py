@@ -459,7 +459,11 @@ class BPlusTree:
     def search(self, key: bytes) -> list[int]:
         return [row for _, row in self.range_search(key, key)]
 
-    def range_search(self, low: bytes, high: bytes) -> list[tuple[bytes, int]]:
+    def range_search(
+        self, low: bytes, high: bytes | None
+    ) -> list[tuple[bytes, int]]:
+        """All (key, table_row) with low <= key <= high, in key order;
+        ``high=None`` leaves the range open above."""
         _BTREE_SEARCHES.inc()
         if _TRACER.enabled:
             with _TRACER.span("index.descent", structure="btree") as span:
@@ -468,7 +472,9 @@ class BPlusTree:
                 return results
         return self._range_search(low, high)
 
-    def _range_search(self, low: bytes, high: bytes) -> list[tuple[bytes, int]]:
+    def _range_search(
+        self, low: bytes, high: bytes | None
+    ) -> list[tuple[bytes, int]]:
         results: list[tuple[bytes, int]] = []
         node = self.node(self._leaf_for(low))
         seen: set[int] = set()
@@ -485,7 +491,7 @@ class BPlusTree:
             self._observe(node.node_id)
             for slot in range(len(node.entries)):
                 key, table_row = self._decode_slot_query(node, slot)
-                if key > high:
+                if high is not None and key > high:
                     return results
                 if key >= low:
                     if table_row is None:

@@ -93,6 +93,14 @@ class IndexInfo:
     structure: IndexTable | BPlusTree
     quarantined: bool = False
 
+    @property
+    def kind(self) -> str:
+        return "table" if isinstance(self.structure, IndexTable) else "btree"
+
+
+#: The ``kind`` names of the two index structures.
+INDEX_KINDS = ("table", "btree")
+
 
 class Database:
     """Tables plus secondary indexes behind one typed API.
@@ -113,8 +121,6 @@ class Database:
         )
         self._tables: dict[str, Table] = {}
         self._indexes: dict[str, IndexInfo] = {}
-        self._indexes_by_column: dict[tuple[str, str], list[IndexInfo]] = {}
-        self._next_table_id = 1
 
     # -- schema ---------------------------------------------------------------
 
@@ -122,11 +128,18 @@ class Database:
     def cell_codec(self) -> CellCodec:
         return self._cell_codec
 
+    @property
+    def next_table_id(self) -> int:
+        """The id the next table or index structure receives: one past
+        every id in use, so ids are never reused."""
+        ids = [table.table_id for table in self._tables.values()]
+        ids += [info.structure.index_table_id for info in self._indexes.values()]
+        return max(ids, default=0) + 1
+
     def create_table(self, schema: TableSchema) -> Table:
         if schema.name in self._tables:
             raise SchemaError(f"table {schema.name!r} already exists")
-        table = Table(self._next_table_id, schema)
-        self._next_table_id += 1
+        table = Table(self.next_table_id, schema)
         self._tables[schema.name] = table
         return table
 
@@ -162,28 +175,78 @@ class Database:
         order: int = 8,
     ) -> IndexInfo:
         """Create (and backfill) a secondary index on one column."""
+        table = self.table(table_name)
+        row_ids = table.row_ids
+        plains = self._plain_cells_batch(
+            table, row_ids, table.schema.column_index(column_name)
+        )
+        info = self.register_index(name, table_name, column_name, kind, order)
+        info.structure.bulk_build(list(zip(plains, row_ids)))
+        return info
+
+    def register_index(
+        self,
+        name: str,
+        table_name: str,
+        column_name: str,
+        kind: str = "table",
+        order: int = 8,
+        index_table_id: int | None = None,
+    ) -> IndexInfo:
+        """Catalog a new, empty index.
+
+        The one place an index enters the catalog.  The structure gets a
+        fresh codec from the factory and no entries: :meth:`create_index`
+        backfills it, the image parser restores the stored rows or nodes
+        into it, and WAL replay leaves it for the end-of-replay rebuild.
+        ``index_table_id`` keeps an id an image or journal record already
+        assigned; by default the next free id is allocated.
+        """
         if name in self._indexes:
             raise SchemaError(f"index {name!r} already exists")
         table = self.table(table_name)
         column_pos = table.schema.column_index(column_name)
-        index_table_id = self._next_table_id
-        self._next_table_id += 1
-        codec = self._index_codec_factory(index_table_id, table.table_id, column_pos)
-        structure: IndexTable | BPlusTree
-        if kind == "table":
-            structure = IndexTable(index_table_id, codec)
-        elif kind == "btree":
-            structure = BPlusTree(index_table_id, codec, order=order)
-        else:
-            raise SchemaError(f"unknown index kind {kind!r}")
-
+        if index_table_id is None:
+            index_table_id = self.next_table_id
+        structure = self._new_structure(kind, index_table_id, table, column_pos, order)
         info = IndexInfo(name, table_name, column_name, structure)
-        row_ids = [row_id for row_id, _ in table.scan()]
-        plains = self._plain_cells_batch(table, row_ids, column_pos)
-        structure.bulk_build(list(zip(plains, row_ids)))
         self._indexes[name] = info
-        self._indexes_by_column.setdefault((table_name, column_name), []).append(info)
         return info
+
+    def rebuild_index(
+        self, name: str, pairs: list[tuple[bytes, int]], fresh_id: bool = False
+    ) -> IndexInfo:
+        """Swap in a structure of the same kind and order, built from
+        (key, row) pairs under a fresh codec, and lift any quarantine.
+
+        ``fresh_id`` moves the index to a newly allocated index table id,
+        so its entries cannot be confused with the discarded structure's.
+        """
+        info = self.index(name)
+        table = self.table(info.table)
+        old = info.structure
+        structure = self._new_structure(
+            info.kind,
+            self.next_table_id if fresh_id else old.index_table_id,
+            table,
+            table.schema.column_index(info.column),
+            getattr(old, "order", 8),
+        )
+        structure.bulk_build(pairs)
+        info.structure = structure
+        info.quarantined = False
+        return info
+
+    def _new_structure(
+        self, kind: str, index_table_id: int, table: Table, column_pos: int,
+        order: int,
+    ) -> IndexTable | BPlusTree:
+        codec = self._index_codec_factory(index_table_id, table.table_id, column_pos)
+        if kind == "table":
+            return IndexTable(index_table_id, codec)
+        if kind == "btree":
+            return BPlusTree(index_table_id, codec, order=order)
+        raise SchemaError(f"unknown index kind {kind!r}")
 
     def index(self, name: str) -> IndexInfo:
         try:
@@ -199,8 +262,9 @@ class Database:
         """Usable (non-quarantined) indexes over one column."""
         return [
             info
-            for info in self._indexes_by_column.get((table_name, column_name), [])
-            if not info.quarantined
+            for info in self._indexes.values()
+            if info.table == table_name and info.column == column_name
+            and not info.quarantined
         ]
 
     def quarantined_indexes_on(
@@ -209,8 +273,9 @@ class Database:
         """Indexes over one column that are present but quarantined."""
         return [
             info
-            for info in self._indexes_by_column.get((table_name, column_name), [])
-            if info.quarantined
+            for info in self._indexes.values()
+            if info.table == table_name and info.column == column_name
+            and info.quarantined
         ]
 
     def quarantine_index(self, name: str) -> IndexInfo:
@@ -221,15 +286,6 @@ class Database:
         """
         info = self.index(name)
         info.quarantined = True
-        return info
-
-    def replace_index_structure(
-        self, name: str, structure: IndexTable | BPlusTree
-    ) -> IndexInfo:
-        """Swap in a rebuilt structure and lift the quarantine."""
-        info = self.index(name)
-        info.structure = structure
-        info.quarantined = False
         return info
 
     # -- data manipulation -----------------------------------------------------
@@ -433,10 +489,9 @@ class Database:
             table = self.table(table_name)
             column = table.schema.column(column_name)
             low_key = column.encode(low)
-            high_key = b"\xff" * max(len(low_key) + 8, 16)
             indexes = self.indexes_on(table_name, column_name)
             if indexes:
-                hits = indexes[0].structure.range_search(low_key, high_key)
+                hits = indexes[0].structure.range_search(low_key, None)
                 return [
                     (row_id, self.get_row(table_name, row_id)) for _, row_id in hits
                 ]

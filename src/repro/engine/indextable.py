@@ -176,6 +176,8 @@ class IndexTable:
         if key <= leaf_key:
             current_content = (key, table_row)
             new_content = (leaf_key, leaf_row)
+            # A tombstone belongs to the entry, so it moves with it.
+            new_leaf.deleted, current.deleted = current.deleted, False
         else:
             current_content = (leaf_key, leaf_row)
             new_content = (key, table_row)
@@ -239,8 +241,11 @@ class IndexTable:
         """All table rows whose indexed value equals ``key``."""
         return [row for found_key, row in self.range_search(key, key)]
 
-    def range_search(self, low: bytes, high: bytes) -> list[tuple[bytes, int]]:
-        """All (key, table_row) with low <= key <= high, in key order.
+    def range_search(
+        self, low: bytes, high: bytes | None
+    ) -> list[tuple[bytes, int]]:
+        """All (key, table_row) with low <= key <= high, in key order;
+        ``high=None`` leaves the range open above.
 
         This is the query of [12]'s pseudo-code: tree-walk to the starting
         leaf, then follow right-sibling references to collect the answer.
@@ -255,7 +260,9 @@ class IndexTable:
                 return results
         return self._range_search(low, high)
 
-    def _range_search(self, low: bytes, high: bytes) -> list[tuple[bytes, int]]:
+    def _range_search(
+        self, low: bytes, high: bytes | None
+    ) -> list[tuple[bytes, int]]:
         if self._root == NO_REF:
             return []
         current = self._row(self._root)
@@ -276,7 +283,7 @@ class IndexTable:
                 continue
             self._observe(leaf.row_id)
             leaf_key, leaf_row = self._decode_query(leaf, at_leaf=True)
-            if leaf_key > high:
+            if high is not None and leaf_key > high:
                 break
             if leaf_key >= low:
                 if leaf_row is None:

@@ -16,12 +16,19 @@ from __future__ import annotations
 
 import io
 import struct
+from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.engine.btree import BEntry, BNode, BPlusTree
-from repro.engine.database import Database, IndexCodecFactory, CellCodec
+from repro.engine.database import (
+    INDEX_KINDS,
+    CellCodec,
+    Database,
+    IndexCodecFactory,
+)
 from repro.engine.indextable import IndexRow, IndexTable
 from repro.engine.schema import Column, ColumnType, TableSchema
-from repro.errors import StorageFormatError
+from repro.errors import EngineError, ReproError, StorageFormatError
 from repro.observability import timed
 from repro.observability.audit import AUDIT as _AUDIT
 from repro.observability.metrics import REGISTRY as _METRICS
@@ -148,13 +155,7 @@ def _dump_database(db: Database) -> bytes:
     _write_int(out, len(db.table_names))
     for name in db.table_names:
         table = db.table(name)
-        _write_text(out, name)
-        _write_int(out, table.table_id)
-        _write_int(out, len(table.schema.columns))
-        for column in table.schema.columns:
-            _write_text(out, column.name)
-            _write_text(out, column.type.value)
-            _write_int(out, 1 if column.sensitive else 0)
+        _write_schema(out, table.schema, table.table_id)
         rows = list(table.scan())
         _write_int(out, table._next_row)
         _write_int(out, len(rows))
@@ -169,13 +170,11 @@ def _dump_database(db: Database) -> bytes:
         _write_text(out, name)
         _write_text(out, info.table)
         _write_text(out, info.column)
-        structure = info.structure
-        if isinstance(structure, IndexTable):
-            _write_text(out, "table")
-            _dump_index_table(out, structure)
+        _write_text(out, info.kind)
+        if info.kind == "table":
+            _dump_index_table(out, info.structure)
         else:
-            _write_text(out, "btree")
-            _dump_btree(out, structure)
+            _dump_btree(out, info.structure)
     image = out.getvalue()
     _METRICS.histogram("storage.image_bytes").observe(len(image))
     _AUDIT.emit(
@@ -185,6 +184,17 @@ def _dump_database(db: Database) -> bytes:
         indexes=len(db.index_names),
     )
     return image
+
+
+def _write_schema(out: io.BytesIO, schema: TableSchema, table_id: int) -> None:
+    """A table header: name, id and columns (images and journal records)."""
+    _write_text(out, schema.name)
+    _write_int(out, table_id)
+    _write_int(out, len(schema.columns))
+    for column in schema.columns:
+        _write_text(out, column.name)
+        _write_text(out, column.type.value)
+        _write_int(out, 1 if column.sensitive else 0)
 
 
 def _dump_index_table(out: io.BytesIO, index: IndexTable) -> None:
@@ -230,10 +240,12 @@ def load_database(
     cell_codec: CellCodec | None = None,
     index_codec_factory: IndexCodecFactory | None = None,
 ) -> Database:
-    """Reconstruct a database from a storage image.
+    """Reconstruct a database from a storage image, failing closed.
 
     The codecs (i.e. the keys) must be supplied by the caller; the image
-    itself contains only what untrusted storage holds.
+    itself contains only what untrusted storage holds.  Any anomaly
+    :func:`parse_image` finds raises — the earliest in image order, as a
+    :class:`~repro.errors.StorageFormatError` carrying its offset.
     """
     if _TRACER.enabled:
         with _TRACER.span("storage.load") as span:
@@ -247,25 +259,10 @@ def _load_database(
     cell_codec: CellCodec | None = None,
     index_codec_factory: IndexCodecFactory | None = None,
 ) -> Database:
-    reader = _Reader(image)
-    reader.expect(_MAGIC)
-    db = Database(cell_codec=cell_codec, index_codec_factory=index_codec_factory)
-
-    table_count = reader.read_count("table")
-    for _ in range(table_count):
-        _load_table(reader, db)
-    db._next_table_id = max(
-        (db.table(name).table_id for name in db.table_names), default=0
-    ) + 1
-
-    index_count = reader.read_count("index")
-    for _ in range(index_count):
-        _load_index(reader, db)
-    if reader.remaining:
-        raise StorageFormatError(
-            f"{reader.remaining} trailing byte(s) after the last index record",
-            offset=reader.offset,
-        )
+    parsed = parse_image(image, cell_codec, index_codec_factory)
+    if parsed.anomalies:
+        raise min(parsed.anomalies, key=lambda anomaly: anomaly.offset).error()
+    db = parsed.database
     _AUDIT.emit(
         "storage.load",
         bytes=len(image),
@@ -275,7 +272,102 @@ def _load_database(
     return db
 
 
-def _load_table(reader: _Reader, db: Database):
+# ---------------------------------------------------------------------------
+# The image parser (shared by the strict and the resilient loader)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Anomaly:
+    """One way an image departs from what :func:`dump_database` writes.
+
+    ``kind`` is an integrity issue kind: ``record-structural`` for a
+    record the parser stepped over, ``image-structural`` for trailing
+    bytes or for the lost framing that ended the parse (``cause`` is
+    then the exception that ended it).
+    """
+
+    offset: int
+    kind: str
+    where: str
+    detail: str
+    cause: Exception | None = None
+
+    def error(self) -> Exception:
+        """What the strict loader raises for this anomaly."""
+        return self.cause or StorageFormatError(self.detail, offset=self.offset)
+
+
+@dataclass
+class ParsedImage:
+    """Everything one pass over an image found.
+
+    ``database`` holds every table, row and index the parser could
+    build; each record it stepped over is left out and named in
+    ``anomalies``, in image order.
+    """
+
+    database: Database
+    anomalies: list[Anomaly] = field(default_factory=list)
+    #: Row records left out as duplicates of an earlier record or table.
+    duplicate_rows: list[str] = field(default_factory=list)
+    #: Rows the image declares behind the point where framing was lost.
+    rows_lost: int = 0
+    #: (name, table, column, kind) of indexes read but not built: an
+    #: unknown table or column, a tree order below 3, or a body cut off
+    #: by lost framing.
+    unbuilt: list[tuple[str, str, str, str]] = field(default_factory=list)
+
+    @property
+    def complete(self) -> bool:
+        """False when lost framing ended the parse early."""
+        return not any(anomaly.cause for anomaly in self.anomalies)
+
+    def note(self, offset: int, where: str, detail: str) -> None:
+        self.anomalies.append(Anomaly(offset, "record-structural", where, detail))
+
+
+def parse_image(
+    image: bytes,
+    cell_codec: CellCodec | None = None,
+    index_codec_factory: IndexCodecFactory | None = None,
+) -> ParsedImage:
+    """Parse an image, stepping over every anomaly that keeps the framing.
+
+    Never raises on bad input.  The checks: magic, framing and count
+    bounds, column types, index kinds, a duplicate table, row, index
+    name, index row or tree node (the first copy wins), a row counter at
+    or below a stored row id (raised past it), a tree order below 3, an
+    index naming an unknown table or column, and trailing bytes.  The
+    parse stops only where the framing is lost.
+    """
+    parsed = ParsedImage(Database(cell_codec, index_codec_factory))
+    reader = _Reader(image)
+    try:
+        reader.expect(_MAGIC)
+        for _ in range(reader.read_count("table")):
+            _read_table(reader, parsed)
+        names: set[str] = set()
+        for _ in range(reader.read_count("index")):
+            _read_index(reader, parsed, names)
+        if reader.remaining:
+            parsed.anomalies.append(Anomaly(
+                reader.offset, "image-structural", f"offset {reader.offset}",
+                f"{reader.remaining} trailing byte(s) after the last index record",
+            ))
+    except Exception as exc:
+        detail = (
+            str(exc) if isinstance(exc, ReproError)
+            else f"unexpected {type(exc).__name__}: {exc}"
+        )
+        parsed.anomalies.append(Anomaly(
+            reader.offset, "image-structural", f"offset {reader.offset}",
+            detail, cause=exc,
+        ))
+    return parsed
+
+
+def _read_schema(reader: _Reader) -> tuple[TableSchema, int]:
+    """Inverse of :func:`_write_schema`."""
     name = reader.read_text()
     table_id = reader.read_int()
     column_count = reader.read_count("column")
@@ -291,92 +383,149 @@ def _load_table(reader: _Reader, db: Database):
             ) from None
         sensitive = reader.read_int() == 1
         columns.append(Column(column_name, column_type, sensitive))
-    table = db.create_table(TableSchema(name, columns))
-    table.table_id = table_id
+    try:
+        return TableSchema(name, columns), table_id
+    except EngineError as exc:
+        raise StorageFormatError(
+            f"unusable table schema: {exc}", offset=reader.offset
+        ) from None
+
+
+def _read_table(reader: _Reader, parsed: ParsedImage) -> None:
+    db = parsed.database
+    at = reader.offset
+    schema, table_id = _read_schema(reader)
+    name = schema.name
+    duplicate = name in db.table_names
+    if duplicate:
+        parsed.note(at, name, f"duplicate table {name!r}")
+        rows: dict[int, list[bytes]] = {}
+    else:
+        table = db.create_table(schema)
+        table.table_id = table_id
+        rows = table._rows
+    counter_at = reader.offset
     next_row = reader.read_int()
     row_count = reader.read_count("row")
-    for _ in range(row_count):
+    for done in range(row_count):
         at = reader.offset
-        row_id = reader.read_int()
-        cells = [reader.read_bytes() for _ in range(column_count)]
-        if row_id in table._rows:
-            # A replayed (duplicated) record: ids are allocated once and
-            # never reused, so a second occurrence is always corruption.
-            raise StorageFormatError(
-                f"duplicate row {row_id} in table {name!r}", offset=at
+        try:
+            row_id = reader.read_int()
+            cells = [reader.read_bytes() for _ in schema.columns]
+        except StorageFormatError:
+            parsed.rows_lost += row_count - done
+            raise
+        if row_id in rows:
+            # A replayed record: ids are allocated once and never reused.
+            parsed.note(
+                at, f"{name}(r={row_id})", f"duplicate row {row_id} in table {name!r}"
             )
-        table._rows[row_id] = cells
-    table._next_row = next_row
-    return table
+            parsed.duplicate_rows.append(f"{name}(r={row_id})#dup")
+        else:
+            rows[row_id] = cells
+    if rows and next_row <= max(rows):
+        # The next insert would overwrite a stored row.
+        parsed.note(
+            counter_at, name,
+            f"row counter {next_row} of table {name!r} at or below "
+            f"stored row {max(rows)}",
+        )
+        next_row = max(rows) + 1
+    if duplicate:
+        parsed.duplicate_rows.extend(f"{name}~dup(r={row_id})" for row_id in rows)
+    else:
+        table._next_row = next_row
 
 
-def _load_index(reader: _Reader, db: Database):
+def _read_index(reader: _Reader, parsed: ParsedImage, names: set[str]) -> None:
+    db = parsed.database
+    at = reader.offset
     name = reader.read_text()
     table_name = reader.read_text()
     column_name = reader.read_text()
     kind = reader.read_text()
-    if kind not in ("table", "btree"):
-        raise StorageFormatError(
-            f"unknown index kind {kind!r}", offset=reader.offset
+    if kind not in INDEX_KINDS:
+        raise StorageFormatError(f"unknown index kind {kind!r}", offset=reader.offset)
+    definition = (name, table_name, column_name, kind)
+    usable = False
+    if name in names:
+        parsed.note(at, f"idx:{name}", f"duplicate index {name!r}")
+    elif (
+        table_name not in db.table_names
+        or column_name not in db.table(table_name).schema.column_names
+    ):
+        parsed.note(
+            at, f"idx:{name}",
+            f"index {name!r} references unknown table/column "
+            f"{table_name!r}.{column_name!r}",
         )
-    table = db.table(table_name)
-    column_pos = table.schema.column_index(column_name)
-    if kind == "table":
-        structure = _load_index_table(reader, db, table.table_id, column_pos)
+        parsed.unbuilt.append(definition)
     else:
-        structure = _load_btree(reader, db, table.table_id, column_pos)
-    from repro.engine.database import IndexInfo
+        usable = True
+    names.add(name)
 
-    info = IndexInfo(name, table_name, column_name, structure)
-    db._indexes[name] = info
-    db._indexes_by_column.setdefault((table_name, column_name), []).append(info)
-    db._next_table_id = max(db._next_table_id, structure.index_table_id + 1)
-    return info
+    try:
+        index_table_id = reader.read_int()
+        order = 8
+        if kind == "btree":
+            order_at = reader.offset
+            order = reader.read_int()
+            if order < 3:
+                parsed.note(order_at, f"idx:{name}", f"implausible tree order {order}")
+            restore = _read_btree(reader, parsed, name)
+        else:
+            restore = _read_index_table(reader, parsed, name)
+    except StorageFormatError:
+        if usable:
+            parsed.unbuilt.append(definition)
+        raise
+    if usable and order < 3:
+        parsed.unbuilt.append(definition)
+    elif usable:
+        restore(db.register_index(
+            name, table_name, column_name, kind, order, index_table_id
+        ).structure)
 
 
-def _load_index_table(
-    reader: _Reader, db: Database, table_id: int, column_pos: int
-) -> IndexTable:
-    index_table_id = reader.read_int()
-    codec = db._index_codec_factory(index_table_id, table_id, column_pos)
-    index = IndexTable(index_table_id, codec)
-    index._root = reader.read_int()
+def _read_index_table(
+    reader: _Reader, parsed: ParsedImage, name: str
+) -> Callable[[IndexTable], None]:
+    """An index-table body after its id; returns how to restore it."""
+    root = reader.read_int()
     next_row = reader.read_int()
-    row_count = reader.read_count("index row")
-    for _ in range(row_count):
+    rows: dict[int, IndexRow] = {}
+    for _ in range(reader.read_count("index row")):
         at = reader.offset
         row = IndexRow(
-            row_id=reader.read_int(),
-            is_leaf=reader.read_int() == 1,
-            payload=b"",
+            row_id=reader.read_int(), is_leaf=reader.read_int() == 1, payload=b""
         )
         row.left = reader.read_int()
         row.right = reader.read_int()
         row.sibling = reader.read_int()
         row.deleted = reader.read_int() == 1
         row.payload = reader.read_bytes()
-        if row.row_id in index._rows:
-            raise StorageFormatError(
-                f"duplicate index row {row.row_id}", offset=at
+        if row.row_id in rows:
+            parsed.note(
+                at, f"idx:{name}[{row.row_id}]", f"duplicate index row {row.row_id}"
             )
-        index._rows[row.row_id] = row
-    index._next_row = next_row
-    return index
+        else:
+            rows[row.row_id] = row
+
+    def restore(index: IndexTable) -> None:
+        index._root, index._next_row, index._rows = root, next_row, rows
+
+    return restore
 
 
-def _load_btree(
-    reader: _Reader, db: Database, table_id: int, column_pos: int
-) -> BPlusTree:
-    index_table_id = reader.read_int()
-    order = reader.read_int()
-    codec = db._index_codec_factory(index_table_id, table_id, column_pos)
-    tree = BPlusTree(index_table_id, codec, order)
-    tree._nodes.clear()
-    tree._root = reader.read_int()
-    tree._next_node = reader.read_int()
-    tree._next_entry_row = reader.read_int()
-    node_count = reader.read_count("node")
-    for _ in range(node_count):
+def _read_btree(
+    reader: _Reader, parsed: ParsedImage, name: str
+) -> Callable[[BPlusTree], None]:
+    """A B+-tree body after its id and order; returns how to restore it."""
+    root = reader.read_int()
+    next_node = reader.read_int()
+    next_entry_row = reader.read_int()
+    nodes: dict[int, BNode] = {}
+    for _ in range(reader.read_count("node")):
         at = reader.offset
         node = BNode(node_id=reader.read_int(), is_leaf=reader.read_int() == 1)
         node.next_leaf = reader.read_int()
@@ -387,9 +536,18 @@ def _load_btree(
             BEntry(reader.read_int(), reader.read_bytes())
             for _ in range(entry_count)
         ]
-        if node.node_id in tree._nodes:
-            raise StorageFormatError(
-                f"duplicate tree node {node.node_id}", offset=at
+        if node.node_id in nodes:
+            parsed.note(
+                at, f"idx:{name}[n{node.node_id}]",
+                f"duplicate tree node {node.node_id}",
             )
-        tree._nodes[node.node_id] = node
-    return tree
+        else:
+            nodes[node.node_id] = node
+
+    def restore(tree: BPlusTree) -> None:
+        tree._root, tree._next_node, tree._next_entry_row = (
+            root, next_node, next_entry_row
+        )
+        tree._nodes = nodes
+
+    return restore

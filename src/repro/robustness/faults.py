@@ -116,8 +116,10 @@ class ImageMap:
 def map_image(image: bytes) -> ImageMap:
     """Chart a well-formed image (raises on malformed input).
 
-    The walk mirrors :func:`repro.engine.storage.load_database` record
-    for record; it must be kept in sync with the dump format.
+    The walk mirrors :func:`repro.engine.storage.parse_image` record for
+    record; it must be kept in sync with the dump format.  It stays a
+    separate walker because it charts byte offsets, which the parser
+    has no use for.
     """
     reader = _Reader(image)
     reader.expect(_MAGIC)

@@ -1,14 +1,25 @@
 """Resilient loading of (possibly tampered) storage images.
 
-The strict loader (:func:`repro.engine.storage.load_database`) fails
-closed: the first structural problem aborts the whole restore.  That is
-the right default against an active adversary, but a deployment that
-*must* come back up — the paper's motivating hospital cannot lose every
-patient because one disk sector died — needs the complementary mode:
+Both loaders read an image through one parser,
+:func:`repro.engine.storage.parse_image`.  It builds every table, row
+and index it can and records each anomaly it steps over: a duplicate
+table, row, index name, index row or tree node (the first copy wins), a
+row counter at or below a stored row id (raised past it), a tree order
+below 3 or an index naming an unknown table or column (the index is
+left unbuilt), and trailing bytes.  It stops only where the framing is
+lost.
+
+The strict loader (:func:`repro.engine.storage.load_database`) is the
+fail-closed policy on top: any anomaly aborts the restore.  That is the
+right default against an active adversary, but a deployment that *must*
+come back up — the paper's motivating hospital cannot lose every
+patient because one disk sector died — needs the complementary policy:
 salvage everything that still authenticates, quarantine everything that
 does not, and say precisely which is which.
 
-:func:`load_database_resilient` provides that mode.  Its contract:
+:func:`load_database_resilient` provides that policy.  It reports every
+anomaly as an issue, then does its own work: a cryptographic sweep of
+every cell and the settling of every index.  Its contract:
 
 * it never raises on corrupted input — every record of the image ends in
   exactly one :class:`RecoveryReport` bucket:
@@ -17,7 +28,8 @@ does not, and say precisely which is which.
   - ``quarantined-crypto`` — framed, but a sensitive cell failed the
     scheme's cryptographic verification (eq. 22's ``invalid``);
   - ``quarantined-structural`` — the record itself (or the image region
-    holding it) could not be parsed or type-decoded;
+    holding it) could not be parsed or type-decoded, or it repeats an
+    earlier row or table;
 
 * quarantined rows are removed from the loaded database, so every
   surviving read path serves only verified data;
@@ -25,7 +37,8 @@ does not, and say precisely which is which.
   or by disagreeing with the surviving table rows — is rebuilt from the
   surviving authenticated cells (or, with ``rebuild_indexes=False``,
   left registered-but-quarantined, in which case queries degrade to a
-  verified full scan via :meth:`~repro.engine.database.Database.indexes_on`).
+  verified full scan via :meth:`~repro.engine.database.Database.indexes_on`);
+  an index the parser left unbuilt is rebuilt too, or ``lost``.
 
 Note on rebuilds: a rebuilt index re-encrypts its entries with a fresh
 codec from the caller's factory.  Deployments whose AEAD nonces are
@@ -39,18 +52,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.engine.btree import BPlusTree
-from repro.engine.database import (
-    CellCodec,
-    Database,
-    IndexCodecFactory,
-    IndexInfo,
-)
+from repro.engine.database import CellCodec, Database, IndexCodecFactory
 from repro.engine.indextable import IndexTable
 from repro.engine.integrity import IntegrityIssue
-from repro.engine.schema import Column, ColumnType, TableSchema
-from repro.engine.storage import _MAGIC, _Reader
-from repro.engine.table import Table
-from repro.errors import CryptoError, EngineError, StorageFormatError
+from repro.engine.storage import parse_image
+from repro.errors import CryptoError, EngineError
 from repro.observability.audit import AUDIT as _AUDIT
 
 #: Per-record outcomes (the report's vocabulary, shared with docs/tests).
@@ -133,16 +139,6 @@ class RecoveryResult:
     report: RecoveryReport
 
 
-@dataclass
-class _IndexHeader:
-    """The identity of an index, known before its structure parses."""
-
-    name: str
-    table: str
-    column: str
-    kind: str
-
-
 def load_database_resilient(
     image: bytes,
     cell_codec: CellCodec | None = None,
@@ -157,42 +153,20 @@ def load_database_resilient(
     (or quarantined when ``rebuild_indexes`` is False).  See the module
     docstring for the exact per-record contract.
     """
-    db = Database(cell_codec=cell_codec, index_codec_factory=index_codec_factory)
-    report = RecoveryReport()
-    reader = _Reader(image)
-    # Index headers read so far; value is the parsed structure or None
-    # when the body was unreachable.
-    headers: list[tuple[_IndexHeader, IndexTable | BPlusTree | None]] = []
-    current_header: list[_IndexHeader | None] = [None]
-
-    try:
-        _parse_image(reader, db, report, headers, current_header)
-    except StorageFormatError as exc:
-        report.image_fully_parsed = False
-        report.issues.append(IntegrityIssue(
-            "image-structural", f"offset {reader.offset}", str(exc)
-        ))
-        if current_header[0] is not None:
-            headers.append((current_header[0], None))
-    except (CryptoError, EngineError) as exc:
-        # Codec factories and schema plumbing can object to corrupted
-        # metadata; that is structural damage from the loader's view.
-        report.image_fully_parsed = False
-        report.issues.append(IntegrityIssue(
-            "image-structural", f"offset {reader.offset}", str(exc)
-        ))
-        if current_header[0] is not None:
-            headers.append((current_header[0], None))
-    except Exception as exc:  # pragma: no cover - belt and braces
-        report.image_fully_parsed = False
-        report.issues.append(IntegrityIssue(
-            "image-structural",
-            f"offset {reader.offset}",
-            f"unexpected {type(exc).__name__}: {exc}",
-        ))
-
+    parsed = parse_image(image, cell_codec, index_codec_factory)
+    db = parsed.database
+    report = RecoveryReport(
+        issues=[
+            IntegrityIssue(anomaly.kind, anomaly.where, anomaly.detail)
+            for anomaly in parsed.anomalies
+        ],
+        rows_lost_structurally=parsed.rows_lost,
+        image_fully_parsed=parsed.complete,
+    )
+    for where in parsed.duplicate_rows:
+        report.row_outcomes[where] = OUTCOME_QUARANTINED_STRUCTURAL
     survivors = _crypto_sweep(db, report)
-    _settle_indexes(db, report, headers, survivors, rebuild_indexes)
+    _settle_indexes(db, report, parsed.unbuilt, survivors, rebuild_indexes)
     _emit_recovery_events(report)
     return RecoveryResult(database=db, report=report)
 
@@ -212,204 +186,6 @@ def _emit_recovery_events(report: RecoveryReport) -> None:
         rows_quarantined=report.rows_quarantined,
         image_fully_parsed=report.image_fully_parsed,
     )
-
-
-# ---------------------------------------------------------------------------
-# Structural parse (mirrors storage.load_database, but keeps partial work)
-# ---------------------------------------------------------------------------
-
-def _parse_image(
-    reader: _Reader,
-    db: Database,
-    report: RecoveryReport,
-    headers: list[tuple[_IndexHeader, IndexTable | BPlusTree | None]],
-    current_header: list[_IndexHeader | None],
-) -> None:
-    reader.expect(_MAGIC)
-    table_count = reader.read_count("table")
-    for _ in range(table_count):
-        _parse_table(reader, db, report)
-    db._next_table_id = max(
-        (db.table(name).table_id for name in db.table_names), default=0
-    ) + 1
-
-    index_count = reader.read_count("index")
-    for _ in range(index_count):
-        header = _IndexHeader(
-            name=reader.read_text(),
-            table=reader.read_text(),
-            column=reader.read_text(),
-            kind=reader.read_text(),
-        )
-        if header.kind not in ("table", "btree"):
-            raise StorageFormatError(
-                f"unknown index kind {header.kind!r}", offset=reader.offset
-            )
-        current_header[0] = header
-        structure = _parse_index_structure(reader, db, header, report)
-        headers.append((header, structure))
-        current_header[0] = None
-
-    if reader.remaining:
-        report.issues.append(IntegrityIssue(
-            "image-structural",
-            f"offset {reader.offset}",
-            f"{reader.remaining} trailing byte(s) after the last index record",
-        ))
-
-
-def _parse_table(reader: _Reader, db: Database, report: RecoveryReport) -> None:
-    name = reader.read_text()
-    table_id = reader.read_int()
-    column_count = reader.read_count("column")
-    columns = []
-    for _ in range(column_count):
-        column_name = reader.read_text()
-        type_name = reader.read_text()
-        try:
-            column_type = ColumnType(type_name)
-        except ValueError:
-            raise StorageFormatError(
-                f"unknown column type {type_name!r}", offset=reader.offset
-            ) from None
-        sensitive = reader.read_int() == 1
-        columns.append(Column(column_name, column_type, sensitive))
-    try:
-        schema = TableSchema(name, columns)
-    except EngineError as exc:
-        raise StorageFormatError(f"unusable table schema: {exc}") from None
-    table = Table(table_id, schema)
-    next_row = reader.read_int()
-    row_count = reader.read_count("row")
-
-    registered = name not in db._tables
-    if registered:
-        db._tables[name] = table
-    else:
-        report.issues.append(IntegrityIssue(
-            "record-structural", name,
-            "duplicate table name in image; second copy quarantined",
-        ))
-
-    parsed = 0
-    try:
-        for _ in range(row_count):
-            row_id = reader.read_int()
-            cells = [reader.read_bytes() for _ in range(column_count)]
-            if row_id in table._rows:
-                report.issues.append(IntegrityIssue(
-                    "record-structural", f"{name}(r={row_id})",
-                    "replayed (duplicate) row record; copy quarantined",
-                ))
-                report.row_outcomes[f"{name}(r={row_id})#dup"] = (
-                    OUTCOME_QUARANTINED_STRUCTURAL
-                )
-            else:
-                table._rows[row_id] = cells
-            parsed += 1
-    except StorageFormatError as exc:
-        lost = row_count - parsed
-        report.rows_lost_structurally += lost
-        report.issues.append(IntegrityIssue(
-            "record-structural", name,
-            f"{lost} row record(s) unreachable behind parse failure: {exc}",
-        ))
-        raise
-    table._next_row = max(
-        next_row, max(table._rows, default=-1) + 1
-    )
-    if not registered:
-        # The duplicate's rows are dropped with it.
-        for row_id in table._rows:
-            report.row_outcomes[f"{name}~dup(r={row_id})"] = (
-                OUTCOME_QUARANTINED_STRUCTURAL
-            )
-
-
-def _parse_index_structure(
-    reader: _Reader,
-    db: Database,
-    header: _IndexHeader,
-    report: RecoveryReport,
-) -> IndexTable | BPlusTree | None:
-    """Parse one index body; returns None when its identity is unusable
-    (unknown table/column) — the bytes are still consumed."""
-    usable = True
-    try:
-        table = db.table(header.table)
-        column_pos = table.schema.column_index(header.column)
-        table_id = table.table_id
-    except EngineError:
-        usable = False
-        table_id, column_pos = -1, -1
-        report.issues.append(IntegrityIssue(
-            "record-structural", f"idx:{header.name}",
-            f"references unknown table/column "
-            f"{header.table!r}.{header.column!r}",
-        ))
-
-    if header.kind == "table":
-        structure = _parse_index_table(reader, db, table_id, column_pos)
-    else:
-        structure = _parse_btree(reader, db, table_id, column_pos)
-    return structure if usable else None
-
-
-def _parse_index_table(
-    reader: _Reader, db: Database, table_id: int, column_pos: int
-) -> IndexTable:
-    from repro.engine.indextable import IndexRow
-
-    index_table_id = reader.read_int()
-    codec = db._index_codec_factory(index_table_id, table_id, column_pos)
-    index = IndexTable(index_table_id, codec)
-    index._root = reader.read_int()
-    next_row = reader.read_int()
-    row_count = reader.read_count("index row")
-    for _ in range(row_count):
-        row = IndexRow(
-            row_id=reader.read_int(),
-            is_leaf=reader.read_int() == 1,
-            payload=b"",
-        )
-        row.left = reader.read_int()
-        row.right = reader.read_int()
-        row.sibling = reader.read_int()
-        row.deleted = reader.read_int() == 1
-        row.payload = reader.read_bytes()
-        index._rows[row.row_id] = row
-    index._next_row = next_row
-    return index
-
-
-def _parse_btree(
-    reader: _Reader, db: Database, table_id: int, column_pos: int
-) -> BPlusTree:
-    from repro.engine.btree import BEntry, BNode
-
-    index_table_id = reader.read_int()
-    order = reader.read_int()
-    if order < 3:
-        raise StorageFormatError(f"implausible tree order {order}")
-    codec = db._index_codec_factory(index_table_id, table_id, column_pos)
-    tree = BPlusTree(index_table_id, codec, order)
-    tree._nodes.clear()
-    tree._root = reader.read_int()
-    tree._next_node = reader.read_int()
-    tree._next_entry_row = reader.read_int()
-    node_count = reader.read_count("node")
-    for _ in range(node_count):
-        node = BNode(node_id=reader.read_int(), is_leaf=reader.read_int() == 1)
-        node.next_leaf = reader.read_int()
-        child_count = reader.read_count("child")
-        node.children = [reader.read_int() for _ in range(child_count)]
-        entry_count = reader.read_count("entry")
-        node.entries = [
-            BEntry(reader.read_int(), reader.read_bytes())
-            for _ in range(entry_count)
-        ]
-        tree._nodes[node.node_id] = node
-    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -479,66 +255,54 @@ def _crypto_sweep(
 def _settle_indexes(
     db: Database,
     report: RecoveryReport,
-    headers: list[tuple[_IndexHeader, IndexTable | BPlusTree | None]],
+    unbuilt: list[tuple[str, str, str, str]],
     survivors: dict[str, dict[int, list[bytes]]],
     rebuild_indexes: bool,
 ) -> None:
-    for header, structure in headers:
-        name = header.name
-        if name in db._indexes:
-            report.issues.append(IntegrityIssue(
-                "record-structural", f"idx:{name}",
-                "duplicate index name in image; second copy dropped",
-            ))
+    for name in db.index_names:
+        info = db.index(name)
+        expected = _expected_pairs(db, info.table, info.column, survivors)
+        problem = _index_problem(info.structure, expected)
+        if problem is None:
+            report.index_outcomes[name] = INDEX_OK
             continue
-        expected = _expected_pairs(db, header, survivors)
-        if expected is None:
-            report.index_outcomes[name] = INDEX_LOST
-            continue
-
-        if structure is not None:
-            _register_index(db, header, structure)
-            problem = _index_problem(structure, expected)
-            if problem is None:
-                report.index_outcomes[name] = INDEX_OK
-                continue
-            kind_, detail = problem
-            report.issues.append(IntegrityIssue(kind_, name, detail))
-        else:
-            report.issues.append(IntegrityIssue(
-                "index-structural", name, "index body unreachable in image",
-            ))
-            if not rebuild_indexes:
-                report.index_outcomes[name] = INDEX_LOST
-                continue
-            _register_index(
-                db, header, _fresh_structure(db, header), quarantined=True
-            )
-
+        report.issues.append(IntegrityIssue(problem[0], name, problem[1]))
         if rebuild_indexes:
-            rebuilt = _fresh_structure(db, header)
-            rebuilt.bulk_build(expected)
-            db.replace_index_structure(name, rebuilt)
+            db.rebuild_index(name, expected, fresh_id=True)
             report.index_outcomes[name] = INDEX_REBUILT
         else:
             db.quarantine_index(name)
             report.index_outcomes[name] = INDEX_QUARANTINED
 
+    # Indexes the parser could not build: rebuilt from the survivors when
+    # their table and column exist, lost otherwise.
+    for name, table, column, kind in unbuilt:
+        expected = _expected_pairs(db, table, column, survivors)
+        if expected is not None:
+            report.issues.append(IntegrityIssue(
+                "index-structural", name, "index body unusable in image",
+            ))
+        if expected is None or not rebuild_indexes:
+            report.index_outcomes[name] = INDEX_LOST
+            continue
+        db.register_index(name, table, column, kind).structure.bulk_build(expected)
+        report.index_outcomes[name] = INDEX_REBUILT
+
 
 def _expected_pairs(
     db: Database,
-    header: _IndexHeader,
+    table_name: str,
+    column_name: str,
     survivors: dict[str, dict[int, list[bytes]]],
 ) -> list[tuple[bytes, int]] | None:
     """(value, row_id) pairs the index should hold, from surviving rows."""
     try:
-        table = db.table(header.table)
-        column_pos = table.schema.column_index(header.column)
+        column_pos = db.table(table_name).schema.column_index(column_name)
     except EngineError:
         return None
     return [
         (cells[column_pos], row_id)
-        for row_id, cells in sorted(survivors.get(header.table, {}).items())
+        for row_id, cells in sorted(survivors.get(table_name, {}).items())
     ]
 
 
@@ -565,34 +329,3 @@ def _index_problem(
             f"surviving rows imply {len(expected)}"
         )
     return None
-
-
-def _fresh_structure(
-    db: Database, header: _IndexHeader
-) -> IndexTable | BPlusTree:
-    table = db.table(header.table)
-    column_pos = table.schema.column_index(header.column)
-    index_table_id = db._next_table_id
-    db._next_table_id += 1
-    codec = db._index_codec_factory(index_table_id, table.table_id, column_pos)
-    if header.kind == "table":
-        return IndexTable(index_table_id, codec)
-    return BPlusTree(index_table_id, codec, order=8)
-
-
-def _register_index(
-    db: Database,
-    header: _IndexHeader,
-    structure: IndexTable | BPlusTree,
-    quarantined: bool = False,
-) -> IndexInfo:
-    info = IndexInfo(
-        header.name, header.table, header.column, structure,
-        quarantined=quarantined,
-    )
-    db._indexes[header.name] = info
-    db._indexes_by_column.setdefault(
-        (header.table, header.column), []
-    ).append(info)
-    db._next_table_id = max(db._next_table_id, structure.index_table_id + 1)
-    return info

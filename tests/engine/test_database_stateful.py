@@ -2,7 +2,9 @@
 
 Hypothesis drives random insert/update/delete/query sequences against
 an encrypted database and a trivial in-memory model simultaneously;
-any divergence (including via the index path) is a bug.
+any divergence (including via the index path) is a bug.  ``k`` is
+indexed by a B+-tree and ``v`` by an index table, so updates of either
+column exercise both structures' delete-then-insert path.
 """
 
 from hypothesis import settings
@@ -37,6 +39,7 @@ class DatabaseMachine(RuleBasedStateMachine):
         )
         self.db.create_table(SCHEMA)
         self.db.create_index("by_k", "t", "k", kind="btree", order=4)
+        self.db.create_index("by_v", "t", "v", kind="table")
         self.model: dict[int, tuple[int, str]] = {}
 
     @rule(k=VALUES, v=TEXTS)
@@ -51,6 +54,14 @@ class DatabaseMachine(RuleBasedStateMachine):
         row = next(iter(self.model))
         self.db.update_value("t", row, "k", k)
         self.model[row] = (k, self.model[row][1])
+
+    @rule(pick=st.integers(min_value=0), v=TEXTS)
+    def update_v(self, pick, v):
+        if not self.model:
+            return
+        row = sorted(self.model)[pick % len(self.model)]
+        self.db.update_value("t", row, "v", v)
+        self.model[row] = (self.model[row][0], v)
 
     @rule()
     def delete_some_row(self):
@@ -81,6 +92,31 @@ class DatabaseMachine(RuleBasedStateMachine):
         )
         assert got == expected
 
+    def _check_v(self, got, keep):
+        assert sorted(row_id for row_id, _ in got) == sorted(
+            row for row, (_, v) in self.model.items() if keep(v)
+        )
+
+    @rule(v=TEXTS)
+    def v_point_query_matches_model(self, v):
+        self._check_v(self.db.select_equals("t", "v", v), lambda x: x == v)
+
+    @rule(prefix=TEXTS)
+    def v_prefix_query_matches_model(self, prefix):
+        prefix = prefix[:2]
+        self._check_v(
+            self.db.select_prefix("t", "v", prefix),
+            lambda x: x.startswith(prefix),
+        )
+
+    @rule(low=TEXTS)
+    def v_at_least_matches_model(self, low):
+        self._check_v(self.db.select_at_least("t", "v", low), lambda x: x >= low)
+
+    @rule(high=TEXTS)
+    def v_at_most_matches_model(self, high):
+        self._check_v(self.db.select_at_most("t", "v", high), lambda x: x <= high)
+
     @invariant()
     def row_reads_match_model(self):
         for row, (k, v) in list(self.model.items())[:5]:
@@ -93,5 +129,5 @@ class DatabaseMachine(RuleBasedStateMachine):
 
 TestDatabaseStateful = DatabaseMachine.TestCase
 TestDatabaseStateful.settings = settings(
-    max_examples=12, stateful_step_count=30, deadline=None
+    max_examples=12, stateful_step_count=30, deadline=None, derandomize=True
 )

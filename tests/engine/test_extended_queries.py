@@ -84,6 +84,24 @@ def test_at_least_negative_numbers():
     ]
 
 
+@pytest.mark.parametrize("kind", ["table", "btree"])
+def test_at_least_is_open_above_for_long_keys(kind):
+    # BYTES keys have no length bound, so no fixed sentinel can serve as
+    # the top of an open range.
+    schema = TableSchema("blobs", [Column("b", ColumnType.BYTES)])
+    keys = [b"\x00", b"\x10", b"\xff" * 16, b"\xff" * 17, b"\xff" * 40]
+    scan = EncryptedDatabase(MASTER, EncryptionConfig.paper_fixed("eax"))
+    scan.create_table(schema)
+    for key in keys:
+        scan.insert("blobs", [key])
+    expected = sorted(AtLeastQuery("blobs", "b", b"\x01").execute(scan).values(0))
+    assert len(expected) == 4
+    scan.create_index("by_b", "blobs", "b", kind=kind)
+    result = AtLeastQuery("blobs", "b", b"\x01").execute(scan)
+    assert result.used_index
+    assert sorted(result.values(0)) == expected
+
+
 def test_extended_queries_identical_across_schemes():
     plain = build(config=EncryptionConfig(cell_scheme="plain", index_scheme="plain"))
     fixed = build()

@@ -82,6 +82,56 @@ def test_delete_tombstones():
     assert len(index) == 9
 
 
+def test_insert_before_tombstoned_leaf_moves_the_tombstone():
+    # The insert lands on the tombstoned leaf of key 4 and moves its
+    # contents into the new leaf: the tombstone must move with them.
+    index = build((enc(i * 2), i) for i in range(4))
+    assert index.delete(enc(4), 2)
+    index.insert(enc(3), 9)
+    assert index.search(enc(3)) == [9]
+    assert index.search(enc(4)) == []
+    assert index.items() == [(enc(0), 0), (enc(2), 1), (enc(3), 9), (enc(6), 3)]
+
+
+def test_updates_of_an_indexed_text_column_stay_findable():
+    # Updates are delete + insert, so they keep landing next to
+    # tombstones; every current value must be found and no replaced
+    # value may still match.
+    import random
+
+    from repro.engine.database import Database
+    from repro.engine.schema import Column, ColumnType, TableSchema
+
+    db = Database()
+    db.create_table(TableSchema("t", [Column("v", ColumnType.TEXT)]))
+    rng = random.Random(7)
+
+    def word() -> str:
+        return "".join(rng.choice("abcdefgh") for _ in range(rng.randint(1, 6)))
+
+    current = {db.insert("t", [word()]): None for _ in range(200)}
+    for row_id in current:
+        current[row_id] = db.get_value("t", row_id, "v")
+    db.create_index("t_v", "t", "v", kind="table")
+    replaced = []
+    for _ in range(300):
+        row_id = rng.choice(sorted(current))
+        value = word()
+        replaced.append((row_id, current[row_id]))
+        db.update_value("t", row_id, "v", value)
+        current[row_id] = value
+
+    def hits(value: str) -> set[int]:
+        return {row_id for row_id, _ in db.select_equals("t", "v", value)}
+
+    unfindable = [r for r, value in current.items() if r not in hits(value)]
+    stale = [
+        (r, old) for r, old in replaced
+        if old != current[r] and r in hits(old)
+    ]
+    assert (len(unfindable), len(stale)) == (0, 0)
+
+
 def test_rebuild_compacts_and_rebalances():
     index = IndexTable(1, PlainEntryCodec())
     for i in range(64):

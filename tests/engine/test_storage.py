@@ -1,5 +1,7 @@
 """Storage images: persistence of plain and encrypted databases."""
 
+import struct
+
 import pytest
 
 from repro.core.encrypted_db import EncryptedDatabase, EncryptionConfig
@@ -8,6 +10,7 @@ from repro.engine.query import PointQuery
 from repro.engine.schema import Column, ColumnType, TableSchema
 from repro.engine.storage import dump_database, load_database
 from repro.errors import AuthenticationError, StorageFormatError
+from repro.robustness.faults import map_image
 
 SCHEMA = TableSchema(
     "t",
@@ -188,17 +191,74 @@ def test_duplicate_row_record_rejected():
     db.create_table(SCHEMA)
     db.insert("t", [1, "only"])
     image = dump_database(db)
-    from repro.robustness.faults import map_image
     record = map_image(image).records[0]
     replayed = bytearray(image)
     replayed[record.end:record.end] = image[record.start:record.end]
     count_at = record.count_offset
-    import struct
     (count,) = struct.unpack_from(">q", replayed, count_at)
     struct.pack_into(">q", replayed, count_at, count + 1)
     with pytest.raises(StorageFormatError) as excinfo:
         load_database(bytes(replayed))
     assert "duplicate row" in str(excinfo.value)
+
+
+def test_duplicate_index_record_rejected():
+    # A second copy of a whole index record, with the leaves of keys 0
+    # and 1 swapped in the first copy: queries would use the first copy
+    # while an integrity sweep checks the last, so the image must not load.
+    db = Database()
+    db.create_table(SCHEMA)
+    for i in range(4):
+        db.insert("t", [i, f"value-{i}"])
+    start = len(dump_database(db)) - 8  # the index count
+    db.create_index("t_k", "t", "k", kind="table")
+    image = dump_database(db)
+    first, second = (
+        next(p for p in map_image(image).payloads if p.where == f"idx:t_k[{row}]")
+        for row in (0, 1)
+    )
+    assert len(first) == len(second)
+    swapped = bytearray(image)
+    swapped[first.start:first.end] = image[second.start:second.end]
+    swapped[second.start:second.end] = image[first.start:first.end]
+    doubled = (
+        image[:start] + struct.pack(">q", 2) + bytes(swapped[start + 8:])
+        + image[start + 8:]
+    )
+    with pytest.raises(StorageFormatError) as excinfo:
+        load_database(doubled)
+    assert "duplicate index 't_k'" in str(excinfo.value)
+    assert excinfo.value.offset == len(image)
+
+
+def test_tree_order_below_three_rejected():
+    db = Database()
+    db.create_table(SCHEMA)
+    db.insert("t", [1, "only"])
+    db.create_index("t_k", "t", "k", kind="btree")
+    image = bytearray(dump_database(db))
+    # The order field sits just before the tree's root reference.
+    root_at, _ = map_image(bytes(image)).pointers[0]
+    struct.pack_into(">q", image, root_at - 8, 2)
+    with pytest.raises(StorageFormatError) as excinfo:
+        load_database(bytes(image))
+    assert "implausible tree order 2" in str(excinfo.value)
+
+
+def test_rewound_row_counter_rejected():
+    # A counter at or below a stored row id would let the next insert
+    # overwrite a committed row.
+    db = Database()
+    db.create_table(SCHEMA)
+    for i in range(5):
+        db.insert("t", [i, f"value-{i}"])
+    image = bytearray(dump_database(db))
+    counter_at = map_image(bytes(image)).records[0].count_offset - 8
+    struct.pack_into(">q", image, counter_at, 2)
+    with pytest.raises(StorageFormatError) as excinfo:
+        load_database(bytes(image))
+    assert excinfo.value.offset == counter_at
+    assert "row counter 2" in str(excinfo.value)
 
 
 def test_implausible_count_rejected():

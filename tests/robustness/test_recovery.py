@@ -1,12 +1,16 @@
 """Resilient loader: quarantine, rebuild, degradation — and never a crash."""
 
+import struct
+
 import pytest
 
 from repro.core.encrypted_db import EncryptedDatabase, EncryptionConfig
 from repro.engine.query import PointQuery
 from repro.engine.schema import Column, ColumnType, TableSchema
 from repro.engine.storage import dump_database, load_database
-from repro.robustness.faults import map_image, plan_faults
+from repro.errors import ReproError
+from repro.robustness.campaign import build_campaign_db, default_campaign_configs
+from repro.robustness.faults import FaultSpec, map_image, plan_faults
 from repro.robustness.recovery import (
     INDEX_OK,
     INDEX_QUARANTINED,
@@ -165,3 +169,54 @@ def test_resilient_matches_strict_on_clean_images():
     )
     result = resilient(image, config)
     assert dump_database(result.database) == dump_database(strict)
+
+
+@pytest.mark.parametrize(
+    "group", ["idx:t_k[", "idx:t_v[n"], ids=["index-row", "tree-node"]
+)
+def test_duplicate_index_record_is_recorded_and_dropped(group):
+    # One index row (t_k, an index table) or tree node (t_v, a B+-tree)
+    # stored twice: the first copy wins and the replay is reported.
+    config = EncryptionConfig.paper_fixed("eax")
+    image = dump_database(build_db(config))
+    record = next(r for r in map_image(image).records if r.where.startswith(group))
+    replay = FaultSpec(
+        "record-duplicate", 0, (record.start, record.end, record.count_offset)
+    )
+    report = resilient(replay.apply(image), config).report
+    assert [(issue.kind, issue.location) for issue in report.issues] == [
+        ("record-structural", record.where)
+    ]
+    assert report.rows_recovered == 8
+    assert set(report.index_outcomes.values()) == {INDEX_OK}
+
+
+def test_rewound_row_counter_is_raised_past_the_stored_rows():
+    config = EncryptionConfig.paper_fixed("eax")
+    image = bytearray(dump_database(build_db(config)))
+    counter_at = map_image(bytes(image)).records[0].count_offset - 8
+    struct.pack_into(">q", image, counter_at, 2)
+    result = resilient(bytes(image), config)
+    assert [issue.kind for issue in result.report.issues] == ["record-structural"]
+    assert result.database.insert("t", [99, "fresh"]) == 8
+    assert result.database.get_row("t", 2) == [2, f"value-002-{'x' * 40}"]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [config for _, config in default_campaign_configs()],
+    ids=["plain", "xor", "append", "dbsec2005", "eax", "ocb"],
+)
+def test_small_integers_anywhere_never_leak(config):
+    # Writing 0, 1 or 2 over any 8 octets hits every counter, id, flag and
+    # reference field with the values most likely to be special-cased.
+    # Structure is checked before any codec runs, so no keys are needed.
+    image = dump_database(build_campaign_db(config, 3))
+    for offset in range(len(image)):
+        for value in (0, 1, 2):
+            faulted = image[:offset] + struct.pack(">q", value) + image[offset + 8:]
+            try:
+                load_database(faulted)
+            except ReproError:
+                pass
+            load_database_resilient(faulted)
