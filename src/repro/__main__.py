@@ -1,144 +1,17 @@
 """Command-line driver: ``python -m repro <command>``.
 
-Commands:
-
-* ``demo``     — run the quickstart scenario end to end.
-* ``attacks``  — execute every Sect. 3 attack against the broken and
-  fixed configurations and print the outcome table.
-* ``overhead`` — print the Sect. 4 storage / invocation tables.
-* ``collisions [N]`` — rerun the paper's µ collision experiment with N
-  trial addresses (default 1024).
-* ``faultcampaign [--seeds N]`` — sweep N seeded storage faults
-  (default 25) across every scheme configuration and print the
-  detection matrix; exits non-zero if the matrix contradicts the
-  paper's claims or the resilient loader ever raises.
-* ``bench [--quick] [--scenarios a,b,...] [--out PATH] [--force]`` —
-  run the benchmark harness over every scheme configuration, write a
-  ``BENCH_<n>.json`` artifact (auto-numbered unless ``--out`` names a
-  path; an existing file is never overwritten unless ``--force``), and
-  exit non-zero if any measured count diverges from the
-  paper's Sect. 4 cost model.  With ``--baseline BENCH_<n>.json``
-  additionally compare per-scenario wall time and cipher counts
-  against that report (``--threshold F`` sets the fractional wall-time
-  tolerance, default 0.25; ``--delta-out PATH`` writes the comparison
-  document) and exit non-zero on regression.
-* ``backendparity [--out PATH]`` — cross-backend ciphertext-equivalence
-  sweep: every registered block-cipher backend (pure reference,
-  optimized T-table, any plugin) must emit byte-identical raw blocks,
-  byte-identical database images for all six campaign configurations,
-  and the batched ``insert_many`` path must match the sequential loop.
-  Prints the SHA-256 parity matrix, optionally writes it as JSON, and
-  exits non-zero on any divergence.
-* ``crashcampaign [--rows N] [--limit N] [--configs slug,...]
-  [--modes m,...] [--phases p,...]`` — power-cut a journaled database
-  at every write boundary of a seeded workload (or N evenly-spaced
-  boundaries with ``--limit``) under each crash mode (default
-  ``cut,torn,drop``) and assert recovery always lands on exactly the
-  pre- or post-operation state; also checks audit-hook byte-neutrality
-  and flaky-backend retry equivalence.  ``--phases`` selects the
-  mutation sweep, the sharded key-rotation sweep (every rotation
-  protocol write boundary; shards must recover to exactly the old or
-  new key epoch), or both (the default).  Exits non-zero on any
-  violation.
-* ``chaoscampaign [--steps N] [--seed N] [--shards N] [--replicas N]
-  [--no-flaky] [--configs slug,...]`` — the unified resilience
-  campaign: per configuration, drive one sharded keyspace on an N-way
-  mirrored disk (each replica behind a flaky/retrying wrapper stack
-  unless ``--no-flaky``) through a seeded schedule interleaving
-  inserts, checkpoints, key rotations, whole-host crashes with
-  remount, single-replica corruptions, anti-entropy scrubs, and full
-  lockstep rollbacks.  Asserts no acknowledged commit is ever lost,
-  every rollback raises ``StaleImageError``, every single-replica
-  corruption is repaired, and the replicas converge byte-for-byte.
-  Exits non-zero on any violation.
-* ``scrub --replica PATH --replica PATH [--replica PATH ...]
-  [--old-key HEX | --old-seed TEXT]... [--config slug] [--shards N]
-  [--no-repair] [--demo] [--inject-fault BLOB]`` — one anti-entropy
-  pass over a sharded keyspace mirrored across the replica
-  directories: verify every journal, checkpoint, staged rotation
-  checkpoint, and the cross-shard manifest MAC-by-MAC on every
-  replica, elect the freshest authentic copy per blob, and rewrite
-  divergent or corrupt replicas from it (``--no-repair`` reports
-  only).  ``--demo`` seeds a small demo keyspace when the replicas
-  are empty; ``--inject-fault BLOB`` corrupts the named blob on every
-  replica first (an unrepairable fault — the negative control).
-  Exits 1 if any blob has no authentic copy anywhere.
-* ``rotate --dir PATH (--new-key HEX | --new-seed TEXT)
-  [--old-key HEX | --old-seed TEXT]... [--shards N] [--config slug]
-  [--shard ID]`` — online master-key rotation of a sharded keyspace
-  stored under ``--dir``.  The old key chain is given oldest-first via
-  repeatable ``--old-key``/``--old-seed`` flags (default: the demo
-  seed ``repro-demo-master``); a fresh directory is created, seeded
-  with a small demo dataset, and then rotated.  ``--shard`` rotates a
-  single shard; omitting the new key *resumes* an interrupted rotation
-  (the supplied chain must already hold the target epoch — lagging
-  shards are brought up to its head).  Exits 2 on usage errors, 1 if
-  any shard fails post-rotation verification (wrong epoch, degraded
-  mount, manifest failure, or lost rows).
-* ``audit <log.jsonl> [--metrics-jsonl PATH] [--metrics-prom PATH]`` —
-  replay a security audit log through the streaming leakage monitor
-  and print the six probe verdicts; optionally export the ``leak.*``
-  metric snapshot as JSONL or Prometheus text.
-* ``audit --live [--configs slug,...] [--log-dir DIR]`` — run the
-  seeded leakage workload with the audit log attached for each named
-  configuration (default: all six; slugs: plain, xor, append,
-  dbsec2005, aead-eax, aead-ocb), cross-validate the streaming
-  verdicts against the offline ``analysis.leakage`` matrix and against
-  a replay of the captured events, and exit non-zero on any mismatch.
-  ``--log-dir`` persists per-configuration event logs and metric
-  snapshots.
-* ``trace --out PATH [--scenario NAME] [--configs slug,...]`` — run a
-  traced query workload (scenarios: point_query, range_query; default
-  point_query) for each named configuration and export every span as
-  Chrome trace-event JSON (open in Perfetto or chrome://tracing); the
-  document header embeds the workload seed, configuration names, git
-  describe, and interpreter version.
-* ``explain <scenario> [--configs slug,...]`` — EXPLAIN ANALYZE for
-  the encrypted database: run the scenario per configuration and print
-  each query's per-operator profile (wall time, bytes, measured vs
-  Sect.-4-predicted blockcipher invocations); exits non-zero if any
-  per-query measured count diverges from the analytic model.
-* ``monitor [--scenario NAME] [--configs slug,...] [--quick]
-  [--out HEALTH.json] [--baseline BENCH_<n>.json] [--rules FILE.json]
-  [--prom PATH] [--jsonl PATH] [--follow] [--inject FAULT]
-  [--limit N]`` — run a bench scenario (default ``shard_rotation``,
-  default config ``aead-eax``) or the ``rotation_campaign`` sweep
-  under the telemetry hub, evaluate the health-rule set (Sect. 4
-  drift, WAL replay/fallback, shard degradation, leakage budgets, and
-  — with ``--baseline`` — p99 regression; ``--rules`` adds declarative
-  rules from JSON) against the labeled time-series, and write a
-  schema-validated ``HEALTH.json``.  ``--follow`` prints a live
-  per-tick dashboard; ``--prom``/``--jsonl`` export the labeled
-  series; ``--inject cipher-miscount`` / ``--inject wal-fallback``
-  simulate faults to prove the rules fire.  Exits 1 when any alert
-  fires, 2 on usage errors.
-* ``forensics <FLIGHT.json> [--scorecard] [--timeline]`` — grade a
-  recorded flight document: join the typed fault-injection ground
-  truth against the detections the stack emitted, print the per-class
-  detection scorecard (rate, latency in ticks, false positives) and —
-  with ``--timeline`` — the causally ordered incident timeline with
-  root-cause attribution.  Exits 1 when any gated fault class was
-  missed or any false positive exists.
-* ``forensics --chaos [--steps N] [--seed N] [--shards N]
-  [--replicas N] [--no-flaky] [--configs slug,...] [--out PATH]
-  [--timeline]`` — run the seeded chaos campaign plus the gated
-  control faults under the flight recorder, write the flight document
-  to ``--out``, and grade it requiring 100 % detection of every gated
-  class (tamper, rollback, unrepairable) and zero false alarms.
-* ``forensics --healthy [--scenario NAME] [--inject FAULT]
-  [--limit N] [--out PATH]`` — the false-alarm control: a monitored
-  run with no injected faults must record zero incidents (no alerts,
-  no typed errors, no unmatched detections); exits 1 otherwise.
-  ``--inject`` passes monitor fault injections through, making a
-  non-zero exit the *expected* outcome (CI's negative control).
-
-All commands exit 0 on success, 1 on a finding (divergence, violation,
-alert, missed detection), and 2 on a usage error.
+``python -m repro --help`` lists the commands, and
+``python -m repro <command> --help`` documents each command's flags.
 """
 
 from __future__ import annotations
 
+import argparse
+import hashlib
+import json
+import os
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from repro.analysis.collision import run_collision_experiment
@@ -151,9 +24,165 @@ from repro.analysis.overhead import (
 from repro.analysis.report import format_table
 
 
-def _demo(argv: list[str]) -> int:
-    if argv:
-        raise UsageError(f"demo takes no arguments, got {argv[0]!r}")
+class UsageError(Exception):
+    """Bad command-line input; the CLI prints usage and exits 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """The CLI's parsers: flags are never abbreviated, and every parse
+    error is a :class:`UsageError` worded ``--flag <problem>``."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, exit_on_error=False, **kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        try:
+            return super().parse_known_args(args, namespace)
+        except argparse.ArgumentError as exc:
+            if exc.message == "expected one argument":
+                raise UsageError(f"{exc.argument_name} requires a value") from None
+            raise UsageError(f"{exc.argument_name} {exc.message}") from None
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
+# Argument types.  A problem with a flag's value raises ArgumentTypeError,
+# which the parser prefixes with the flag's name; a message that names its
+# own subject is raised as a UsageError as it stands.
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+
+
+def _at_least(minimum: int):
+    """Type of an integer flag with a lower bound."""
+
+    def parse(text: str) -> int:
+        value = _integer(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}")
+        return value
+
+    return parse
+
+
+def _threshold(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be non-negative")
+    return value
+
+
+def _hex_key(text: str) -> bytes:
+    try:
+        key = bytes.fromhex(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a hex string, got {text!r}"
+        ) from None
+    if len(key) < 16:
+        raise argparse.ArgumentTypeError("must be at least 16 bytes (32 hex digits)")
+    return key
+
+
+def _seed_key(text: str) -> bytes:
+    return hashlib.sha256(text.encode("utf-8")).digest()
+
+
+def _names(text: str) -> list[str]:
+    """Type of a comma-separated list flag: its non-empty names."""
+    return [name for name in text.split(",") if name]
+
+
+def _slug(text: str) -> str:
+    """Type of ``--config``: one of the six configuration slugs."""
+    from repro.observability.leakmon import CONFIG_SLUGS
+
+    if text not in CONFIG_SLUGS:
+        raise UsageError(
+            f"unknown configuration slug {text!r}; "
+            f"available: {', '.join(CONFIG_SLUGS)}"
+        )
+    return text
+
+
+def _slugs(text: str) -> list[str]:
+    """Type of ``--configs``: one or more comma-separated slugs."""
+    from repro.observability.leakmon import CONFIG_SLUGS
+
+    slugs = [_slug(slug) for slug in _names(text)]
+    if not slugs:
+        raise UsageError(
+            f"no configurations selected; available: {', '.join(CONFIG_SLUGS)}"
+        )
+    return slugs
+
+
+def _injection(text: str) -> str:
+    from repro.observability.monitor import INJECTIONS
+
+    if text not in INJECTIONS:
+        raise UsageError(
+            f"unknown injection {text!r}; available: {', '.join(INJECTIONS)}"
+        )
+    return text
+
+
+def _output(text: str) -> str:
+    """Type of every output-file flag.  It creates the file's directory
+    up front, so that a long run cannot fail at its final write."""
+    try:
+        Path(text).parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot be written: {exc}") from None
+    return text
+
+
+def _fail(lines: Iterable[str], gap: bool = True) -> int:
+    """Print each finding to stderr and return 1, the findings exit code;
+    ``gap`` first separates them from the stdout report by a blank line."""
+    if gap:
+        print()
+    for line in lines:
+        print(line, file=sys.stderr)
+    return 1
+
+
+def _campaign_configs(slugs: list[str] | None) -> list:
+    """``(label, config)`` for each slug; with no slugs, all six
+    configurations, which is every campaign's own default."""
+    from repro.observability.leakmon import CONFIG_SLUGS
+    from repro.robustness.campaign import default_campaign_configs
+
+    by_label = dict(default_campaign_configs())
+    return [
+        (CONFIG_SLUGS[slug], by_label[CONFIG_SLUGS[slug]])
+        for slug in slugs or CONFIG_SLUGS
+    ]
+
+
+def _demo_people(keyspace) -> None:
+    """Fill a fresh keyspace with the six-row demo ``people`` table."""
+    from repro.engine.schema import Column, ColumnType, TableSchema
+
+    keyspace.create_table(TableSchema("people", [
+        Column("id", ColumnType.INT),
+        Column("name", ColumnType.TEXT),
+        Column("city", ColumnType.TEXT, sensitive=False),
+    ]))
+    for i in range(6):
+        keyspace.insert("people", [i, f"name-{i:03d}", f"city-{i % 3}"])
+
+
+def _demo(args: argparse.Namespace) -> int:
     from repro import EncryptedDatabase, EncryptionConfig
     from repro.engine import Column, ColumnType, PointQuery, TableSchema
 
@@ -171,9 +200,7 @@ def _demo(argv: list[str]) -> int:
     return 0
 
 
-def _attacks(argv: list[str]) -> int:
-    if argv:
-        raise UsageError(f"attacks takes no arguments, got {argv[0]!r}")
+def _attacks(args: argparse.Namespace) -> int:
     from repro.attacks import (
         evaluate_append_forgery,
         evaluate_index_linkage,
@@ -219,9 +246,7 @@ def _attacks(argv: list[str]) -> int:
     return 0
 
 
-def _overhead(argv: list[str]) -> int:
-    if argv:
-        raise UsageError(f"overhead takes no arguments, got {argv[0]!r}")
+def _overhead(args: argparse.Namespace) -> int:
     storage_rows = []
     for scheme in ("eax", "ocb", "ccfb", "gcm"):
         overhead = measure_storage_overhead(scheme, b"P" * 48)
@@ -249,33 +274,17 @@ def _overhead(argv: list[str]) -> int:
     return 0
 
 
-class UsageError(Exception):
-    """Bad command-line input; the driver prints usage and exits 2."""
+def _collisions(args: argparse.Namespace) -> int:
+    print(run_collision_experiment(args.trials))
+    if args.trials == 1024:
+        print("paper's run on its own address set found 6")
+    return 0
 
 
-def _parse_int(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"{what} must be an integer, got {text!r}") from None
-
-
-def _faultcampaign(argv: list[str]) -> int:
+def _faultcampaign(args: argparse.Namespace) -> int:
     from repro.robustness import run_campaign
 
-    seeds = 25
-    args = list(argv)
-    while args:
-        arg = args.pop(0)
-        if arg == "--seeds":
-            if not args:
-                raise UsageError("--seeds requires a value")
-            seeds = _parse_int(args.pop(0), "--seeds")
-        elif arg.startswith("--seeds="):
-            seeds = _parse_int(arg.split("=", 1)[1], "--seeds")
-        else:
-            raise UsageError(f"unknown faultcampaign argument {arg!r}")
-    result = run_campaign(seeds=seeds)
+    result = run_campaign(seeds=args.seeds)
     print(result.format_matrix())
     recovered = sum(r.rows_recovered for r in result.records)
     quarantined = sum(r.rows_quarantined for r in result.records)
@@ -287,90 +296,35 @@ def _faultcampaign(argv: list[str]) -> int:
     )
     violations = result.check_paper_expectations()
     if violations:
-        print()
-        for violation in violations:
-            print(f"VIOLATION: {violation}", file=sys.stderr)
-        return 1
+        return _fail(f"VIOLATION: {violation}" for violation in violations)
     print("matrix consistent with the paper's claims "
           "(broken schemes corrupt silently, AEAD never does)")
     return 0
 
 
-def _crashcampaign(argv: list[str]) -> int:
+def _crashcampaign(args: argparse.Namespace) -> int:
     from repro.durability import run_crash_campaign
     from repro.durability.crashcampaign import CAMPAIGN_PHASES, CRASH_MODES
-    from repro.observability.leakmon import CONFIG_SLUGS
-    from repro.robustness.campaign import default_campaign_configs
 
-    rows = 5
-    limit: int | None = None
-    config_slugs: list[str] | None = None
-    modes: list[str] | None = None
-    phases: list[str] | None = None
-    args = list(argv)
-    while args:
-        arg = args.pop(0)
-        if arg == "--rows" or arg.startswith("--rows="):
-            rows = _parse_int(_flag_value(arg, args, "--rows"), "--rows")
-        elif arg == "--limit" or arg.startswith("--limit="):
-            limit = _parse_int(_flag_value(arg, args, "--limit"), "--limit")
-        elif arg == "--configs" or arg.startswith("--configs="):
-            value = _flag_value(arg, args, "--configs")
-            config_slugs = [s for s in value.split(",") if s]
-        elif arg == "--modes" or arg.startswith("--modes="):
-            value = _flag_value(arg, args, "--modes")
-            modes = [m for m in value.split(",") if m]
-        elif arg == "--phases" or arg.startswith("--phases="):
-            value = _flag_value(arg, args, "--phases")
-            phases = [p for p in value.split(",") if p]
-        else:
-            raise UsageError(f"unknown crashcampaign argument {arg!r}")
-    if rows < 1:
-        raise UsageError("--rows must be at least 1")
-    if limit is not None and limit < 1:
-        raise UsageError("--limit must be at least 1")
-    if phases is not None:
-        bad = [p for p in phases if p not in CAMPAIGN_PHASES]
-        if bad or not phases:
+    for names, known, what in [
+        (args.phases, CAMPAIGN_PHASES, "campaign phase"),
+        (args.modes, CRASH_MODES, "crash mode"),
+    ]:
+        if names is not None and (not names or not set(names) <= set(known)):
             raise UsageError(
-                f"unknown or empty campaign phase(s); "
-                f"available: {', '.join(CAMPAIGN_PHASES)}"
-            )
-
-    configs = None
-    if config_slugs is not None:
-        unknown = [slug for slug in config_slugs if slug not in CONFIG_SLUGS]
-        if unknown or not config_slugs:
-            raise UsageError(
-                f"unknown or empty configuration slug(s); "
-                f"available: {', '.join(CONFIG_SLUGS)}"
-            )
-        by_label = dict(default_campaign_configs())
-        configs = [
-            (CONFIG_SLUGS[slug], by_label[CONFIG_SLUGS[slug]])
-            for slug in config_slugs
-        ]
-    if modes is not None:
-        bad = [m for m in modes if m not in CRASH_MODES]
-        if bad or not modes:
-            raise UsageError(
-                f"unknown or empty crash mode(s); "
-                f"available: {', '.join(CRASH_MODES)}"
+                f"unknown or empty {what}(s); available: {', '.join(known)}"
             )
 
     result = run_crash_campaign(
-        rows=rows,
-        limit=limit,
-        configs=configs,
-        modes=tuple(modes) if modes is not None else CRASH_MODES,
-        phases=tuple(phases) if phases is not None else CAMPAIGN_PHASES,
+        rows=args.rows,
+        limit=args.limit,
+        configs=_campaign_configs(args.configs),
+        modes=tuple(args.modes or CRASH_MODES),
+        phases=tuple(args.phases or CAMPAIGN_PHASES),
     )
     print(result.format_matrix())
     if not result.ok:
-        print()
-        for violation in result.violations:
-            print(f"VIOLATION: {violation}", file=sys.stderr)
-        return 1
+        return _fail(f"VIOLATION: {violation}" for violation in result.violations)
     messages = []
     if result.per_config:
         messages.append(
@@ -387,71 +341,20 @@ def _crashcampaign(argv: list[str]) -> int:
     return 0
 
 
-def _chaoscampaign(argv: list[str]) -> int:
-    from repro.observability.leakmon import CONFIG_SLUGS
+def _chaoscampaign(args: argparse.Namespace) -> int:
     from repro.resilience.chaos import run_chaos_campaign
-    from repro.robustness.campaign import default_campaign_configs
-
-    steps = 60
-    seed = 0
-    shards = 2
-    replicas = 3
-    flaky = True
-    config_slugs: list[str] | None = None
-    args = list(argv)
-    while args:
-        arg = args.pop(0)
-        if arg == "--steps" or arg.startswith("--steps="):
-            steps = _parse_int(_flag_value(arg, args, "--steps"), "--steps")
-        elif arg == "--seed" or arg.startswith("--seed="):
-            seed = _parse_int(_flag_value(arg, args, "--seed"), "--seed")
-        elif arg == "--shards" or arg.startswith("--shards="):
-            shards = _parse_int(_flag_value(arg, args, "--shards"), "--shards")
-        elif arg == "--replicas" or arg.startswith("--replicas="):
-            replicas = _parse_int(
-                _flag_value(arg, args, "--replicas"), "--replicas"
-            )
-        elif arg == "--no-flaky":
-            flaky = False
-        elif arg == "--configs" or arg.startswith("--configs="):
-            value = _flag_value(arg, args, "--configs")
-            config_slugs = [s for s in value.split(",") if s]
-        else:
-            raise UsageError(f"unknown chaoscampaign argument {arg!r}")
-    if steps < 1:
-        raise UsageError("--steps must be at least 1")
-    if shards < 1:
-        raise UsageError("--shards must be at least 1")
-    if replicas < 2:
-        raise UsageError("--replicas must be at least 2")
-    configs = None
-    if config_slugs is not None:
-        unknown = [slug for slug in config_slugs if slug not in CONFIG_SLUGS]
-        if unknown or not config_slugs:
-            raise UsageError(
-                f"unknown or empty configuration slug(s); "
-                f"available: {', '.join(CONFIG_SLUGS)}"
-            )
-        by_label = dict(default_campaign_configs())
-        configs = [
-            (CONFIG_SLUGS[slug], by_label[CONFIG_SLUGS[slug]])
-            for slug in config_slugs
-        ]
 
     result = run_chaos_campaign(
-        steps=steps,
-        seed=seed,
-        shard_count=shards,
-        replicas=replicas,
-        flaky=flaky,
-        configs=configs,
+        steps=args.steps,
+        seed=args.seed,
+        shard_count=args.shards,
+        replicas=args.replicas,
+        flaky=args.flaky,
+        configs=_campaign_configs(args.configs),
     )
     print(result.format_matrix())
     if not result.ok:
-        print()
-        for violation in result.violations:
-            print(f"VIOLATION: {violation}", file=sys.stderr)
-        return 1
+        return _fail(f"VIOLATION: {violation}" for violation in result.violations)
     rollbacks = sum(r.rollbacks_injected for r in result.per_config)
     corruptions = sum(r.corruptions for r in result.per_config)
     print(
@@ -462,79 +365,31 @@ def _chaoscampaign(argv: list[str]) -> int:
     return 0
 
 
-def _scrub(argv: list[str]) -> int:
+def _scrub(args: argparse.Namespace) -> int:
     from repro.core.keys import KeyChain
     from repro.durability.vdisk import FileDisk
-    from repro.engine.schema import Column, ColumnType, TableSchema
     from repro.errors import DiskError
-    from repro.observability.leakmon import CONFIG_SLUGS
     from repro.resilience import MirroredDisk, scrub_keyspace
-    from repro.robustness.campaign import default_campaign_configs
     from repro.sharding import ShardedKeyspace
 
-    replicas: list[str] = []
-    old_masters: list[bytes] = []
-    repair = True
-    demo = False
-    inject: str | None = None
-    shards = 2
-    slug = "aead-eax"
-    args = list(argv)
-    while args:
-        arg = args.pop(0)
-        if arg == "--replica" or arg.startswith("--replica="):
-            replicas.append(_flag_value(arg, args, "--replica"))
-        elif arg == "--old-key" or arg.startswith("--old-key="):
-            old_masters.append(
-                _parse_key(_flag_value(arg, args, "--old-key"), "--old-key")
-            )
-        elif arg == "--old-seed" or arg.startswith("--old-seed="):
-            old_masters.append(_seed_key(_flag_value(arg, args, "--old-seed")))
-        elif arg == "--no-repair":
-            repair = False
-        elif arg == "--demo":
-            demo = True
-        elif arg == "--inject-fault" or arg.startswith("--inject-fault="):
-            inject = _flag_value(arg, args, "--inject-fault")
-        elif arg == "--shards" or arg.startswith("--shards="):
-            shards = _parse_int(_flag_value(arg, args, "--shards"), "--shards")
-        elif arg == "--config" or arg.startswith("--config="):
-            slug = _flag_value(arg, args, "--config")
-        else:
-            raise UsageError(f"unknown scrub argument {arg!r}")
-    if len(replicas) < 2:
+    if len(args.replicas) < 2:
         raise UsageError("scrub requires at least two --replica PATH flags")
-    if shards < 1:
-        raise UsageError("--shards must be at least 1")
-    if slug not in CONFIG_SLUGS:
-        raise UsageError(
-            f"unknown configuration slug {slug!r}; "
-            f"available: {', '.join(CONFIG_SLUGS)}"
-        )
-    if not old_masters:
-        old_masters = [_seed_key("repro-demo-master")]
 
-    chain = KeyChain(old_masters)
-    disks = [FileDisk(path) for path in replicas]
+    chain = KeyChain(args.old_masters or [_seed_key("repro-demo-master")])
+    disks = [FileDisk(path) for path in args.replicas]
     mirror = MirroredDisk(disks)
-    if demo and not mirror.names():
-        config = dict(default_campaign_configs())[CONFIG_SLUGS[slug]]
+    if args.demo and not mirror.names():
+        config = _campaign_configs([args.config])[0][1]
         keyspace = ShardedKeyspace.open(
-            mirror, chain, config, shard_count=shards
+            mirror, chain, config, shard_count=args.shards
         )
-        schema = TableSchema("people", [
-            Column("id", ColumnType.INT),
-            Column("name", ColumnType.TEXT),
-            Column("city", ColumnType.TEXT, sensitive=False),
-        ])
-        keyspace.create_table(schema)
-        for i in range(6):
-            keyspace.insert("people", [i, f"name-{i:03d}", f"city-{i % 3}"])
+        _demo_people(keyspace)
         keyspace.checkpoint()
         print(
-            f"created a fresh {shards}-shard demo keyspace across "
-            f"{len(replicas)} replicas"
+            f"created a fresh {args.shards}-shard demo keyspace across "
+            f"{len(args.replicas)} replicas"
         )
+    inject = args.inject_fault
     if inject is not None:
         # Corrupt the named blob on *every* replica: an unrepairable
         # fault the scrub must report (and exit non-zero on) — the CI
@@ -553,117 +408,50 @@ def _scrub(argv: list[str]) -> int:
             raise UsageError(f"--inject-fault: no replica holds {inject!r}")
         print(f"injected fault into {inject!r} on {flipped} replica(s)")
 
-    report = scrub_keyspace(mirror, chain, repair=repair)
+    report = scrub_keyspace(mirror, chain, repair=args.repair)
     print(report.format())
     if report.unrepaired:
-        print()
-        for name in report.unrepaired:
-            print(
-                f"UNREPAIRABLE: {name} has no authentic copy on any replica",
-                file=sys.stderr,
-            )
-        return 1
+        return _fail(
+            f"UNREPAIRABLE: {name} has no authentic copy on any replica"
+            for name in report.unrepaired
+        )
     return 0
 
 
-def _parse_key(value: str, what: str) -> bytes:
-    try:
-        key = bytes.fromhex(value)
-    except ValueError:
-        raise UsageError(f"{what} must be a hex string, got {value!r}") from None
-    if len(key) < 16:
-        raise UsageError(f"{what} must be at least 16 bytes (32 hex digits)")
-    return key
-
-
-def _seed_key(text: str) -> bytes:
-    import hashlib
-
-    return hashlib.sha256(text.encode("utf-8")).digest()
-
-
-def _rotate(argv: list[str]) -> int:
+def _rotate(args: argparse.Namespace) -> int:
     from repro.core.keys import KeyChain
     from repro.durability.vdisk import FileDisk
-    from repro.engine.schema import Column, ColumnType, TableSchema
-    from repro.observability.leakmon import CONFIG_SLUGS
-    from repro.robustness.campaign import default_campaign_configs
     from repro.sharding import ShardedKeyspace
 
-    directory: str | None = None
-    old_masters: list[bytes] = []
-    new_master: bytes | None = None
-    shards = 2
-    slug = "aead-eax"
-    shard_id: str | None = None
-    args = list(argv)
-    while args:
-        arg = args.pop(0)
-        if arg == "--dir" or arg.startswith("--dir="):
-            directory = _flag_value(arg, args, "--dir")
-        elif arg == "--old-key" or arg.startswith("--old-key="):
-            old_masters.append(
-                _parse_key(_flag_value(arg, args, "--old-key"), "--old-key")
-            )
-        elif arg == "--old-seed" or arg.startswith("--old-seed="):
-            old_masters.append(_seed_key(_flag_value(arg, args, "--old-seed")))
-        elif arg == "--new-key" or arg.startswith("--new-key="):
-            if new_master is not None:
-                raise UsageError("rotate takes exactly one new key")
-            new_master = _parse_key(
-                _flag_value(arg, args, "--new-key"), "--new-key"
-            )
-        elif arg == "--new-seed" or arg.startswith("--new-seed="):
-            if new_master is not None:
-                raise UsageError("rotate takes exactly one new key")
-            new_master = _seed_key(_flag_value(arg, args, "--new-seed"))
-        elif arg == "--shards" or arg.startswith("--shards="):
-            shards = _parse_int(_flag_value(arg, args, "--shards"), "--shards")
-        elif arg == "--config" or arg.startswith("--config="):
-            slug = _flag_value(arg, args, "--config")
-        elif arg == "--shard" or arg.startswith("--shard="):
-            shard_id = _flag_value(arg, args, "--shard")
-        else:
-            raise UsageError(f"unknown rotate argument {arg!r}")
+    if len(args.new_masters) > 1:
+        raise UsageError("rotate takes exactly one new key")
+    new_master = args.new_masters[0] if args.new_masters else None
+    directory = args.dir
     if directory is None:
         raise UsageError("rotate requires --dir PATH")
-    if new_master is None and len(old_masters) < 2:
+    if new_master is None and len(args.old_masters) < 2:
         # Without a new key the only meaningful run is a *resume*: the
         # supplied chain already holds the target epoch and lagging
         # shards are brought up to its head.
         raise UsageError("rotate requires --new-key HEX or --new-seed TEXT")
-    if shards < 1:
-        raise UsageError("--shards must be at least 1")
-    if slug not in CONFIG_SLUGS:
-        raise UsageError(
-            f"unknown configuration slug {slug!r}; "
-            f"available: {', '.join(CONFIG_SLUGS)}"
-        )
-    if not old_masters:
-        old_masters = [_seed_key("repro-demo-master")]
+    old_masters = args.old_masters or [_seed_key("repro-demo-master")]
     if new_master is not None and new_master in old_masters:
         raise UsageError("the new key must differ from every old chain key")
 
-    config = dict(default_campaign_configs())[CONFIG_SLUGS[slug]]
+    config = _campaign_configs([args.config])[0][1]
     chain = KeyChain(old_masters)
     keyspace = ShardedKeyspace.open(
-        FileDisk(directory), chain, config, shard_count=shards
+        FileDisk(directory), chain, config, shard_count=args.shards
     )
     for issue in keyspace.recovery.issues:
         print(f"note: {issue}", file=sys.stderr)
     if keyspace.recovery.fresh:
-        schema = TableSchema("people", [
-            Column("id", ColumnType.INT),
-            Column("name", ColumnType.TEXT),
-            Column("city", ColumnType.TEXT, sensitive=False),
-        ])
-        keyspace.create_table(schema)
-        for i in range(6):
-            keyspace.insert("people", [i, f"name-{i:03d}", f"city-{i % 3}"])
+        _demo_people(keyspace)
         keyspace.create_index("people_by_id", "people", "id", kind="btree")
         keyspace.checkpoint()
-        print(f"created a fresh {shards}-shard keyspace in {directory} "
+        print(f"created a fresh {args.shards}-shard keyspace in {directory} "
               f"(6 demo rows)")
+    shard_id = args.shard
     if shard_id is not None and all(
         shard.shard_id != shard_id for shard in keyspace.shards
     ):
@@ -713,43 +501,13 @@ def _rotate(argv: list[str]) -> int:
                 f"had {expected}"
             )
     if failures:
-        print()
-        for failure in failures:
-            print(f"VERIFICATION FAILED: {failure}", file=sys.stderr)
-        return 1
+        return _fail(f"VERIFICATION FAILED: {failure}" for failure in failures)
     print(f"verified: {len(rotated)} shard(s) at epoch {report.to_epoch}, "
           f"manifest ok, row counts preserved")
     return 0
 
 
-def _collisions(argv: list[str]) -> int:
-    if len(argv) > 1:
-        raise UsageError("collisions takes at most one argument (trial count)")
-    trials = _parse_int(argv[0], "collisions trial count") if argv else 1024
-    experiment = run_collision_experiment(trials)
-    print(experiment)
-    if trials == 1024:
-        print("paper's run on its own address set found 6")
-    return 0
-
-
-def _flag_value(arg: str, args: list[str], flag: str) -> str:
-    """Value of ``--flag value`` / ``--flag=value`` (shared convention)."""
-    if arg == flag:
-        if not args:
-            raise UsageError(f"{flag} requires a value")
-        return args.pop(0)
-    return arg.split("=", 1)[1]
-
-
-def _parse_float(text: str, what: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise UsageError(f"{what} must be a number, got {text!r}") from None
-
-
-def _bench(argv: list[str]) -> int:
+def _bench(args: argparse.Namespace) -> int:
     from repro.bench import (
         DEFAULT_WALL_THRESHOLD,
         compare_reports,
@@ -762,103 +520,52 @@ def _bench(argv: list[str]) -> int:
         write_report,
     )
 
-    quick = False
-    force = False
-    scenario_names: list[str] | None = None
-    out: str | None = None
-    baseline_path: str | None = None
-    threshold = DEFAULT_WALL_THRESHOLD
-    delta_out: str | None = None
-    args = list(argv)
-    while args:
-        arg = args.pop(0)
-        if arg == "--quick":
-            quick = True
-        elif arg == "--force":
-            force = True
-        elif arg == "--scenarios" or arg.startswith("--scenarios="):
-            value = _flag_value(arg, args, "--scenarios")
-            scenario_names = [s for s in value.split(",") if s]
-        elif arg == "--out" or arg.startswith("--out="):
-            out = _flag_value(arg, args, "--out")
-        elif arg == "--baseline" or arg.startswith("--baseline="):
-            baseline_path = _flag_value(arg, args, "--baseline")
-        elif arg == "--threshold" or arg.startswith("--threshold="):
-            threshold = _parse_float(
-                _flag_value(arg, args, "--threshold"), "--threshold"
-            )
-        elif arg == "--delta-out" or arg.startswith("--delta-out="):
-            delta_out = _flag_value(arg, args, "--delta-out")
-        else:
-            raise UsageError(f"unknown bench argument {arg!r}")
-    if threshold < 0:
-        raise UsageError("--threshold must be non-negative")
-
     baseline = None
-    if baseline_path is not None:
+    if args.baseline is not None:
         try:
-            baseline = load_report(baseline_path)
+            baseline = load_report(args.baseline)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
 
     try:
-        report = run_bench(scenario_names, quick=quick)
+        report = run_bench(args.scenarios, quick=args.quick)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
+    out = args.out if args.out is not None else next_bench_path()
     try:
-        path = write_report(
-            report, out if out is not None else next_bench_path(), overwrite=force
-        )
+        path = write_report(report, out, overwrite=args.force)
     except FileExistsError as exc:
         raise UsageError(str(exc)) from None
     print(summarize(report))
     print(f"report written to {path}")
-    failed = False
+    status = 0
     if not report["ok"]:
-        print()
-        for failure in divergences(report):
-            print(f"DIVERGENCE: {failure}", file=sys.stderr)
-        failed = True
+        status = _fail(f"DIVERGENCE: {failure}" for failure in divergences(report))
     if baseline is not None:
+        threshold = DEFAULT_WALL_THRESHOLD if args.threshold is None else args.threshold
         delta = compare_reports(baseline, report, wall_threshold=threshold)
         print()
         print(summarize_comparison(delta))
-        if delta_out is not None:
-            import json as _json
-            from pathlib import Path as _Path
-
-            _Path(delta_out).write_text(
-                _json.dumps(delta, indent=2, sort_keys=True) + "\n"
+        if args.delta_out is not None:
+            Path(args.delta_out).write_text(
+                json.dumps(delta, indent=2, sort_keys=True) + "\n"
             )
-            print(f"delta report written to {delta_out}")
+            print(f"delta report written to {args.delta_out}")
         if not delta["ok"]:
-            print()
-            for regression in delta["regressions"]:
-                print(f"REGRESSION: {regression}", file=sys.stderr)
-            failed = True
-    return 1 if failed else 0
+            status = _fail(
+                f"REGRESSION: {regression}" for regression in delta["regressions"]
+            )
+    return status
 
 
-def _backendparity(argv: list[str]) -> int:
+def _backendparity(args: argparse.Namespace) -> int:
     """Cross-backend equivalence sweep: every registered cipher backend
     must produce byte-identical output at three layers — raw blocks,
     whole database images, and batched-vs-sequential engine paths."""
-    import hashlib
-    import json as _json
-
     from repro.engine.storage import dump_database
     from repro.primitives.backends import available_backends, get_backend
     from repro.robustness.campaign import build_campaign_db, default_campaign_configs
-
-    out: str | None = None
-    args = list(argv)
-    while args:
-        arg = args.pop(0)
-        if arg == "--out" or arg.startswith("--out="):
-            out = _flag_value(arg, args, "--out")
-        else:
-            raise UsageError(f"unknown backendparity argument {arg!r}")
 
     backends = available_backends()
     reference = backends[0]
@@ -943,20 +650,17 @@ def _backendparity(argv: list[str]) -> int:
         f"{sum(1 for r in primitive_rows if r['ok'])}/{len(primitive_rows)} "
         f"algorithms byte-identical across {len(backends)} backends"
     )
-    if out is not None:
-        from pathlib import Path as _Path
-
-        _Path(out).write_text(_json.dumps(document, indent=2, sort_keys=True) + "\n")
-        print(f"parity report written to {out}")
-    for failure in failures:
-        print(f"DIVERGENCE: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    if args.out is not None:
+        Path(args.out).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        print(f"parity report written to {args.out}")
+    if failures:
+        return _fail((f"DIVERGENCE: {failure}" for failure in failures), gap=False)
+    return 0
 
 
 def _audit_replay(
     log_path: str, metrics_jsonl: str | None, metrics_prom: str | None
 ) -> int:
-    from repro.analysis.report import format_table
     from repro.observability import AuditError, LeakMonitor, read_events, write_snapshot
     from repro.observability.leakmon import PROBES
 
@@ -989,40 +693,21 @@ def _audit_replay(
     return 0
 
 
-def _audit_live(config_slugs: list[str] | None, log_dir: str | None) -> int:
-    from pathlib import Path
-
-    from repro.analysis.report import format_table
+def _audit_live(slugs: list[str] | None, log_dir: str | None) -> int:
     from repro.observability import LeakMonitor, write_snapshot
     from repro.observability.leakmon import CONFIG_SLUGS, PROBES, run_live_profile
-    from repro.robustness.campaign import default_campaign_configs
 
-    if config_slugs is None:
-        config_slugs = list(CONFIG_SLUGS)
-    unknown = [slug for slug in config_slugs if slug not in CONFIG_SLUGS]
-    if unknown:
-        raise UsageError(
-            f"unknown configuration slug(s) {', '.join(sorted(unknown))}; "
-            f"available: {', '.join(CONFIG_SLUGS)}"
-        )
-    if not config_slugs:
-        raise UsageError(
-            f"no configurations selected; available: {', '.join(CONFIG_SLUGS)}"
-        )
+    slugs = slugs or list(CONFIG_SLUGS)
     directory = None
     if log_dir is not None:
         directory = Path(log_dir)
         directory.mkdir(parents=True, exist_ok=True)
 
-    configs = dict(default_campaign_configs())
     rows = []
     mismatches = []
-    for slug in config_slugs:
-        label = CONFIG_SLUGS[slug]
+    for slug, (label, config) in zip(slugs, _campaign_configs(slugs)):
         sink = directory / f"audit-{slug}.jsonl" if directory else None
-        monitor, events, offline = run_live_profile(
-            configs[label], label, sink_path=sink
-        )
+        monitor, events, offline = run_live_profile(config, label, sink_path=sink)
         streaming = monitor.verdicts()
         replayed = LeakMonitor()
         replayed.feed_all(events)
@@ -1058,75 +743,27 @@ def _audit_live(config_slugs: list[str] | None, log_dir: str | None) -> int:
     if directory is not None:
         print(f"event logs and metric snapshots written to {directory}/")
     if mismatches:
-        print()
-        for mismatch in mismatches:
-            print(f"MISMATCH: {mismatch}", file=sys.stderr)
-        return 1
+        return _fail(f"MISMATCH: {mismatch}" for mismatch in mismatches)
     print("streaming verdicts agree with the offline matrix "
           "(live and replayed) for every configuration")
     return 0
 
 
-def _audit(argv: list[str]) -> int:
-    live = False
-    config_slugs: list[str] | None = None
-    log_dir: str | None = None
-    log_path: str | None = None
-    metrics_jsonl: str | None = None
-    metrics_prom: str | None = None
-    args = list(argv)
-    while args:
-        arg = args.pop(0)
-        if arg == "--live":
-            live = True
-        elif arg == "--configs" or arg.startswith("--configs="):
-            value = _flag_value(arg, args, "--configs")
-            config_slugs = [s for s in value.split(",") if s]
-        elif arg == "--log-dir" or arg.startswith("--log-dir="):
-            log_dir = _flag_value(arg, args, "--log-dir")
-        elif arg == "--metrics-jsonl" or arg.startswith("--metrics-jsonl="):
-            metrics_jsonl = _flag_value(arg, args, "--metrics-jsonl")
-        elif arg == "--metrics-prom" or arg.startswith("--metrics-prom="):
-            metrics_prom = _flag_value(arg, args, "--metrics-prom")
-        elif arg.startswith("--"):
-            raise UsageError(f"unknown audit argument {arg!r}")
-        elif log_path is None:
-            log_path = arg
-        else:
-            raise UsageError("audit takes at most one log path")
-
-    if live:
-        if log_path is not None:
+def _audit(args: argparse.Namespace) -> int:
+    if len(args.log) > 1:
+        raise UsageError("audit takes at most one log path")
+    if args.live:
+        if args.log:
             raise UsageError("--live runs a workload; it does not take a log path")
-        return _audit_live(config_slugs, log_dir)
-    if log_path is None:
+        return _audit_live(args.configs, args.log_dir)
+    if not args.log:
         raise UsageError("audit requires a log path (or --live)")
-    if config_slugs is not None or log_dir is not None:
+    if args.configs is not None or args.log_dir is not None:
         raise UsageError("--configs/--log-dir only apply to audit --live")
-    return _audit_replay(log_path, metrics_jsonl, metrics_prom)
+    return _audit_replay(args.log[0], args.metrics_jsonl, args.metrics_prom)
 
 
-def _resolve_explain_configs(config_slugs: list[str] | None) -> list:
-    from repro.observability.leakmon import CONFIG_SLUGS
-    from repro.robustness.campaign import default_campaign_configs
-
-    by_label = dict(default_campaign_configs())
-    if config_slugs is None:
-        config_slugs = list(CONFIG_SLUGS)
-    unknown = [slug for slug in config_slugs if slug not in CONFIG_SLUGS]
-    if unknown:
-        raise UsageError(
-            f"unknown configuration slug(s) {', '.join(sorted(unknown))}; "
-            f"available: {', '.join(CONFIG_SLUGS)}"
-        )
-    if not config_slugs:
-        raise UsageError(
-            f"no configurations selected; available: {', '.join(CONFIG_SLUGS)}"
-        )
-    return [(CONFIG_SLUGS[slug], by_label[CONFIG_SLUGS[slug]]) for slug in config_slugs]
-
-
-def _trace(argv: list[str]) -> int:
+def _trace(args: argparse.Namespace) -> int:
     from repro.bench.explain import (
         EXPLAIN_SCENARIOS,
         explain_metadata,
@@ -1134,29 +771,15 @@ def _trace(argv: list[str]) -> int:
     )
     from repro.observability.traceexport import write_chrome_trace
 
-    scenario = "point_query"
-    out: str | None = None
-    config_slugs: list[str] | None = None
-    args = list(argv)
-    while args:
-        arg = args.pop(0)
-        if arg == "--scenario" or arg.startswith("--scenario="):
-            scenario = _flag_value(arg, args, "--scenario")
-        elif arg == "--configs" or arg.startswith("--configs="):
-            value = _flag_value(arg, args, "--configs")
-            config_slugs = [s for s in value.split(",") if s]
-        elif arg == "--out" or arg.startswith("--out="):
-            out = _flag_value(arg, args, "--out")
-        else:
-            raise UsageError(f"unknown trace argument {arg!r}")
-    if out is None:
+    scenario = args.scenario
+    if args.out is None:
         raise UsageError("trace requires --out PATH")
     if scenario not in EXPLAIN_SCENARIOS:
         raise UsageError(
             f"unknown trace scenario {scenario!r}; "
             f"available: {', '.join(EXPLAIN_SCENARIOS)}"
         )
-    configs = _resolve_explain_configs(config_slugs)
+    configs = _campaign_configs(args.configs)
 
     spans = []
     for label, config in configs:
@@ -1166,7 +789,7 @@ def _trace(argv: list[str]) -> int:
             continue
         spans.extend(result.spans)
     metadata = explain_metadata(scenario, [label for label, _ in configs])
-    path = write_chrome_trace(out, spans, metadata)
+    path = write_chrome_trace(args.out, spans, metadata)
     print(
         f"{len(spans)} spans from scenario {scenario!r} written to {path} "
         "(open in Perfetto or chrome://tracing)"
@@ -1174,39 +797,29 @@ def _trace(argv: list[str]) -> int:
     return 0
 
 
-def _explain(argv: list[str]) -> int:
+def _explain(args: argparse.Namespace) -> int:
     from repro.bench.explain import (
         EXPLAIN_SCENARIOS,
         render_explain_report,
         trace_scenario,
     )
 
-    scenario: str | None = None
-    config_slugs: list[str] | None = None
-    args = list(argv)
-    while args:
-        arg = args.pop(0)
-        if arg == "--configs" or arg.startswith("--configs="):
-            value = _flag_value(arg, args, "--configs")
-            config_slugs = [s for s in value.split(",") if s]
-        elif arg.startswith("--"):
-            raise UsageError(f"unknown explain argument {arg!r}")
-        elif scenario is None:
-            scenario = arg
-        else:
-            raise UsageError("explain takes exactly one scenario")
-    if scenario is None:
+    if len(args.scenario) > 1:
+        raise UsageError("explain takes exactly one scenario")
+    if not args.scenario:
         raise UsageError(
             f"explain requires a scenario; available: {', '.join(EXPLAIN_SCENARIOS)}"
         )
+    scenario = args.scenario[0]
     if scenario not in EXPLAIN_SCENARIOS:
         raise UsageError(
             f"unknown explain scenario {scenario!r}; "
             f"available: {', '.join(EXPLAIN_SCENARIOS)}"
         )
-    configs = _resolve_explain_configs(config_slugs)
-
-    results = [trace_scenario(scenario, label, config) for label, config in configs]
+    results = [
+        trace_scenario(scenario, label, config)
+        for label, config in _campaign_configs(args.configs)
+    ]
     print(render_explain_report(results), end="")
     mismatches = []
     for result in results:
@@ -1219,14 +832,11 @@ def _explain(argv: list[str]) -> int:
                     f"predicted {check['predicted_cipher_calls']}"
                 )
     if mismatches:
-        print()
-        for mismatch in mismatches:
-            print(f"DIVERGENCE: {mismatch}", file=sys.stderr)
-        return 1
+        return _fail(f"DIVERGENCE: {mismatch}" for mismatch in mismatches)
     return 0
 
 
-def _monitor(argv: list[str]) -> int:
+def _monitor(args: argparse.Namespace) -> int:
     from repro.bench import load_report
     from repro.observability.export import (
         render_prometheus_samples,
@@ -1235,82 +845,35 @@ def _monitor(argv: list[str]) -> int:
     )
     from repro.observability.health import load_rules
     from repro.observability.monitor import (
-        INJECTIONS,
         monitor_scenarios,
         run_monitor,
         validate_health_report,
         write_health,
     )
 
-    scenario = "shard_rotation"
-    config_slugs: list[str] | None = ["aead-eax"]
-    quick = False
-    follow = False
-    out: str | None = None
-    baseline_path: str | None = None
-    rules_path: str | None = None
-    prom_path: str | None = None
-    jsonl_path: str | None = None
-    inject: list[str] = []
-    limit: int | None = None
-    args = list(argv)
-    while args:
-        arg = args.pop(0)
-        if arg == "--scenario" or arg.startswith("--scenario="):
-            scenario = _flag_value(arg, args, "--scenario")
-        elif arg == "--configs" or arg.startswith("--configs="):
-            value = _flag_value(arg, args, "--configs")
-            config_slugs = [s for s in value.split(",") if s]
-        elif arg == "--quick":
-            quick = True
-        elif arg == "--follow":
-            follow = True
-        elif arg == "--out" or arg.startswith("--out="):
-            out = _flag_value(arg, args, "--out")
-        elif arg == "--baseline" or arg.startswith("--baseline="):
-            baseline_path = _flag_value(arg, args, "--baseline")
-        elif arg == "--rules" or arg.startswith("--rules="):
-            rules_path = _flag_value(arg, args, "--rules")
-        elif arg == "--prom" or arg.startswith("--prom="):
-            prom_path = _flag_value(arg, args, "--prom")
-        elif arg == "--jsonl" or arg.startswith("--jsonl="):
-            jsonl_path = _flag_value(arg, args, "--jsonl")
-        elif arg == "--inject" or arg.startswith("--inject="):
-            fault = _flag_value(arg, args, "--inject")
-            if fault not in INJECTIONS:
-                raise UsageError(
-                    f"unknown injection {fault!r}; "
-                    f"available: {', '.join(INJECTIONS)}"
-                )
-            inject.append(fault)
-        elif arg == "--limit" or arg.startswith("--limit="):
-            limit = _parse_int(_flag_value(arg, args, "--limit"), "--limit")
-        else:
-            raise UsageError(f"unknown monitor argument {arg!r}")
+    scenario = args.scenario
     if scenario not in monitor_scenarios():
         raise UsageError(
             f"unknown scenario {scenario!r}; "
             f"available: {', '.join(monitor_scenarios())}"
         )
-    configs = _resolve_explain_configs(config_slugs)
+    configs = _campaign_configs(args.configs or ["aead-eax"])
 
     baseline = None
-    if baseline_path is not None:
+    if args.baseline is not None:
         try:
-            baseline = load_report(baseline_path)
+            baseline = load_report(args.baseline)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     extra_rules = None
-    if rules_path is not None:
-        import json as _json
-
+    if args.rules is not None:
         try:
-            specs = _json.loads(Path(rules_path).read_text())
+            specs = json.loads(Path(args.rules).read_text())
             if not isinstance(specs, list):
                 raise ValueError("a rules file holds a JSON array of rule objects")
             extra_rules = load_rules(specs)
         except (OSError, ValueError) as exc:
-            raise UsageError(f"cannot load rules from {rules_path}: {exc}") from None
+            raise UsageError(f"cannot load rules from {args.rules}: {exc}") from None
 
     def dashboard(tick, hub):
         # Pull-sampled series land on this tick; pushed gauges landed
@@ -1329,23 +892,21 @@ def _monitor(argv: list[str]) -> int:
     doc = run_monitor(
         scenario=scenario,
         config_items=configs,
-        quick=quick,
+        quick=args.quick,
         baseline=baseline,
         extra_rules=extra_rules,
-        inject=inject,
-        limit=limit,
-        follow=dashboard if follow else None,
+        inject=args.inject,
+        limit=args.limit,
+        follow=dashboard if args.follow else None,
     )
     problems = validate_health_report(doc)
     if problems:
-        for problem in problems:
-            print(f"INVALID: {problem}", file=sys.stderr)
-        return 1
+        return _fail((f"INVALID: {problem}" for problem in problems), gap=False)
 
-    if out is not None:
-        path = write_health(doc, out)
+    if args.out is not None:
+        path = write_health(doc, args.out)
         print(f"health report written to {path}")
-    if prom_path is not None:
+    if args.prom is not None:
         samples = [
             (entry["name"], entry["labels"], entry["samples"][-1][1])
             for entry in doc["series"]
@@ -1357,11 +918,11 @@ def _monitor(argv: list[str]) -> int:
         text += render_prometheus_samples(
             series_dropped_samples(doc["series"]), type_hint="counter"
         )
-        Path(prom_path).write_text(text)
-        print(f"prometheus samples written to {prom_path}")
-    if jsonl_path is not None:
-        Path(jsonl_path).write_text(render_series_jsonl(doc["series"]))
-        print(f"series JSONL written to {jsonl_path}")
+        Path(args.prom).write_text(text)
+        print(f"prometheus samples written to {args.prom}")
+    if args.jsonl is not None:
+        Path(args.jsonl).write_text(render_series_jsonl(doc["series"]))
+        print(f"series JSONL written to {args.jsonl}")
 
     for entry in doc["configs"]:
         if entry.get("skipped"):
@@ -1377,18 +938,15 @@ def _monitor(argv: list[str]) -> int:
         f"{len(doc['series'])} series, {len(doc['rules'])} rule(s)"
     )
     if doc["alerts"]:
-        print()
-        for alert in doc["alerts"]:
-            print(
-                f"ALERT [{alert['severity']}] {alert['rule']}: {alert['message']}",
-                file=sys.stderr,
-            )
-        return 1
+        return _fail(
+            f"ALERT [{alert['severity']}] {alert['rule']}: {alert['message']}"
+            for alert in doc["alerts"]
+        )
     print("health: OK (no alerts fired)")
     return 0
 
 
-def _forensics(argv: list[str]) -> int:
+def _forensics(args: argparse.Namespace) -> int:
     from repro.observability.flightrecorder import GATED_CLASSES
     from repro.observability.forensics import (
         build_timeline,
@@ -1399,85 +957,20 @@ def _forensics(argv: list[str]) -> int:
         run_healthy_flight,
         scorecard_gate,
     )
-    from repro.observability.monitor import INJECTIONS
 
-    chaos = False
-    healthy = False
-    flight_path: str | None = None
-    show_timeline = False
-    steps = 24
-    seed = 0
-    shards = 2
-    replicas = 3
-    flaky = True
-    config_slugs: list[str] | None = None
-    scenario = "point_query"
-    inject: list[str] = []
-    limit: int | None = None
-    out: str | None = None
-    args = list(argv)
-    while args:
-        arg = args.pop(0)
-        if arg == "--chaos":
-            chaos = True
-        elif arg == "--healthy":
-            healthy = True
-        elif arg == "--scorecard":
-            pass  # the scorecard is always printed; kept for symmetry
-        elif arg == "--timeline":
-            show_timeline = True
-        elif arg == "--steps" or arg.startswith("--steps="):
-            steps = _parse_int(_flag_value(arg, args, "--steps"), "--steps")
-        elif arg == "--seed" or arg.startswith("--seed="):
-            seed = _parse_int(_flag_value(arg, args, "--seed"), "--seed")
-        elif arg == "--shards" or arg.startswith("--shards="):
-            shards = _parse_int(_flag_value(arg, args, "--shards"), "--shards")
-        elif arg == "--replicas" or arg.startswith("--replicas="):
-            replicas = _parse_int(
-                _flag_value(arg, args, "--replicas"), "--replicas"
-            )
-        elif arg == "--no-flaky":
-            flaky = False
-        elif arg == "--configs" or arg.startswith("--configs="):
-            value = _flag_value(arg, args, "--configs")
-            config_slugs = [s for s in value.split(",") if s]
-        elif arg == "--scenario" or arg.startswith("--scenario="):
-            scenario = _flag_value(arg, args, "--scenario")
-        elif arg == "--inject" or arg.startswith("--inject="):
-            fault = _flag_value(arg, args, "--inject")
-            if fault not in INJECTIONS:
-                raise UsageError(
-                    f"unknown injection {fault!r}; "
-                    f"available: {', '.join(INJECTIONS)}"
-                )
-            inject.append(fault)
-        elif arg == "--limit" or arg.startswith("--limit="):
-            limit = _parse_int(_flag_value(arg, args, "--limit"), "--limit")
-        elif arg == "--out" or arg.startswith("--out="):
-            out = _flag_value(arg, args, "--out")
-        elif arg.startswith("--"):
-            raise UsageError(f"unknown forensics argument {arg!r}")
-        elif flight_path is None:
-            flight_path = arg
-        else:
-            raise UsageError("forensics takes at most one FLIGHT.json path")
-
-    modes = sum([chaos, healthy, flight_path is not None])
-    if modes != 1:
+    if len(args.flight) > 1:
+        raise UsageError("forensics takes at most one FLIGHT.json path")
+    if sum([args.chaos, args.healthy, bool(args.flight)]) != 1:
         raise UsageError(
             "forensics requires exactly one of: a FLIGHT.json path, "
             "--chaos, or --healthy"
         )
-    if steps < 1:
-        raise UsageError("--steps must be at least 1")
-    if shards < 1:
-        raise UsageError("--shards must be at least 1")
-    if replicas < 2:
-        raise UsageError("--replicas must be at least 2")
+    out = args.out
 
-    if healthy:
+    if args.healthy:
         from repro.observability.monitor import monitor_scenarios
 
+        scenario = args.scenario
         if scenario not in monitor_scenarios():
             raise UsageError(
                 f"unknown scenario {scenario!r}; "
@@ -1485,8 +978,8 @@ def _forensics(argv: list[str]) -> int:
             )
         health, doc, incidents = run_healthy_flight(
             scenario=scenario,
-            inject=tuple(inject),
-            limit=limit,
+            inject=tuple(args.inject),
+            limit=args.limit,
             out=out,
         )
         print(
@@ -1495,63 +988,42 @@ def _forensics(argv: list[str]) -> int:
         )
         if out is not None:
             print(f"flight document written to {out}")
-        if show_timeline:
+        if args.timeline:
             print(render_timeline(build_timeline(doc)))
         if incidents:
-            print()
-            for incident in incidents:
-                print(f"INCIDENT: {incident}", file=sys.stderr)
-            return 1
+            return _fail(f"INCIDENT: {incident}" for incident in incidents)
         print("no incidents: zero alerts, zero typed errors, "
               "zero false positives")
         return 0
 
-    if chaos:
-        configs = None
-        if config_slugs is not None:
-            from repro.observability.leakmon import CONFIG_SLUGS
-            from repro.robustness.campaign import default_campaign_configs
-
-            unknown = [s for s in config_slugs if s not in CONFIG_SLUGS]
-            if unknown or not config_slugs:
-                raise UsageError(
-                    f"unknown or empty configuration slug(s); "
-                    f"available: {', '.join(CONFIG_SLUGS)}"
-                )
-            by_label = dict(default_campaign_configs())
-            configs = [
-                (CONFIG_SLUGS[s], by_label[CONFIG_SLUGS[s]])
-                for s in config_slugs
-            ]
+    if args.chaos:
         campaign, doc, scorecard = run_chaos_flight(
-            steps=steps,
-            seed=seed,
-            configs=configs,
-            shard_count=shards,
-            replicas=replicas,
-            flaky=flaky,
+            steps=args.steps,
+            seed=args.seed,
+            configs=_campaign_configs(args.configs),
+            shard_count=args.shards,
+            replicas=args.replicas,
+            flaky=args.flaky,
             out=out,
         )
         print(render_scorecard(scorecard))
         if out is not None:
             print(f"flight document written to {out}")
-        if show_timeline:
+        if args.timeline:
             print(render_timeline(build_timeline(doc)))
         problems = []
         if not campaign.ok:
             problems.extend(campaign.violations)
         problems.extend(scorecard_gate(scorecard, require=GATED_CLASSES))
         if problems:
-            print()
-            for problem in problems:
-                print(f"GATE FAILED: {problem}", file=sys.stderr)
-            return 1
+            return _fail(f"GATE FAILED: {problem}" for problem in problems)
         print(
             "detection gate: every gated class (tamper, rollback, "
             "unrepairable) detected 100%, zero false positives"
         )
         return 0
 
+    flight_path = args.flight[0]
     try:
         doc, scorecard = load_and_grade(flight_path)
     except ValueError as exc:
@@ -1559,65 +1031,289 @@ def _forensics(argv: list[str]) -> int:
     print(f"graded {flight_path}: {len(doc['records'])} record(s), "
           f"reason {doc['reason']!r}")
     print(render_scorecard(scorecard))
-    if show_timeline:
+    if args.timeline:
         print(render_timeline(build_timeline(doc)))
     problems = scorecard_gate(scorecard)
     if problems:
-        print()
-        for problem in problems:
-            print(f"GATE FAILED: {problem}", file=sys.stderr)
-        return 1
+        return _fail(f"GATE FAILED: {problem}" for problem in problems)
     print("scorecard gate: OK")
     return 0
 
 
+def _parser() -> tuple[_Parser, dict]:
+    """The CLI's parser, and its command parsers by name."""
+    # Parent parsers hold the flags several commands share.  A command whose
+    # default differs resolves it in its own body: set_defaults on one
+    # command would rewrite the default of the shared action.
+    configs = _Parser(add_help=False)
+    configs.add_argument(
+        "--configs", type=_slugs, metavar="SLUGS",
+        help="comma-separated configurations out of plain, xor, append, dbsec2005, "
+        "aead-eax, aead-ocb (default: all six; monitor: aead-eax)")
+    campaign = _Parser(add_help=False)
+    campaign.add_argument("--seed", type=_integer, default=0, metavar="N",
+                          help="schedule seed (default: %(default)s)")
+    campaign.add_argument("--shards", type=_at_least(1), default=2, metavar="N",
+                          help="shards per keyspace (default: %(default)s)")
+    campaign.add_argument("--replicas", type=_at_least(2), default=3, metavar="N",
+                          help="mirrored replicas (default: %(default)s)")
+    campaign.add_argument("--no-flaky", dest="flaky", action="store_false",
+                          help="drop the flaky, retrying wrapper around each replica")
+    keychain = _Parser(add_help=False)
+    keychain.add_argument(
+        "--old-key", dest="old_masters", action="append", default=[], type=_hex_key,
+        metavar="HEX", help="an old master key; repeat --old-key and --old-seed to "
+        "give the key chain oldest first (default: the seed repro-demo-master)")
+    keychain.add_argument(
+        "--old-seed", dest="old_masters", action="append", default=[],
+        type=_seed_key, metavar="TEXT", help="an old master key derived from TEXT")
+    keychain.add_argument("--shards", type=_at_least(1), default=2, metavar="N",
+                          help="shards of a fresh keyspace (default: %(default)s)")
+    keychain.add_argument("--config", type=_slug, default="aead-eax", metavar="SLUG",
+                          help="configuration of a fresh keyspace (default: "
+                          "%(default)s)")
+    monitored = _Parser(add_help=False)
+    monitored.add_argument(
+        "--inject", action="append", default=[], type=_injection, metavar="FAULT",
+        help="simulate cipher-miscount or wal-fallback, so that the alarms must "
+        "ring and the run exit 1; repeatable")
+    monitored.add_argument("--limit", type=_integer, metavar="N",
+                           help="crash points of the rotation_campaign scenario")
+    monitored.add_argument("--out", type=_output, metavar="PATH",
+                           help="write the run's JSON document to PATH")
+
+    parser = _Parser(
+        prog="python -m repro",
+        description="Reproduce Kühn's analysis of a database and index encryption "
+        "scheme (SDM 2006): the Sect. 3 attacks, the Sect. 4 overhead, and the "
+        "campaigns, benchmarks and monitors around the fixed scheme.",
+        epilog="Run 'python -m repro <command> --help' for a command's flags.  "
+        "Every command exits 0 on success, 1 on a finding (divergence, violation, "
+        "alert, missed detection), and 2 on a usage error.")
+    subparsers = parser.add_subparsers(
+        title="Commands", dest="command", metavar="<command>")
+
+    def command(name, run, summary, description=None, parents=()):
+        sub = subparsers.add_parser(name, help=summary, parents=parents,
+                                    description=description or summary)
+        sub.set_defaults(run=run)
+        return sub
+
+    command("demo", _demo, "run the quickstart scenario end to end")
+    command("attacks", _attacks, "run every Sect. 3 attack against the broken and "
+            "fixed configurations and print the outcome table")
+    command("overhead", _overhead,
+            "print the Sect. 4 storage and blockcipher-invocation tables")
+    sub = command("collisions", _collisions,
+                  "rerun the paper's µ collision experiment")
+    sub.add_argument("trials", nargs="?", type=_integer, default=1024, metavar="N",
+                     help="trial addresses (default: %(default)s)")
+
+    sub = command(
+        "faultcampaign", _faultcampaign,
+        "sweep seeded storage faults and print the detection matrix",
+        "Sweep seeded storage faults across every configuration and print the "
+        "detection matrix.  Exits 1 if the matrix contradicts the paper's claims "
+        "or the resilient loader ever raises.")
+    sub.add_argument("--seeds", type=_integer, default=25, metavar="N",
+                     help="faults per configuration (default: %(default)s)")
+
+    sub = command(
+        "crashcampaign", _crashcampaign,
+        "power-cut a journaled database at every write boundary",
+        "Power-cut a journaled database at every write boundary of a seeded "
+        "workload (the mutation phase) and of a sharded key rotation (the "
+        "rotation phase).  Recovery must land on exactly the pre- or "
+        "post-operation state, and each shard on exactly the old or the new key "
+        "epoch.  Also checks that audit hooks and retried transient failures are "
+        "byte-neutral.  Exits 1 on any violation.", parents=[configs])
+    sub.add_argument("--rows", type=_at_least(1), default=5, metavar="N",
+                     help="rows of the seeded workload (default: %(default)s)")
+    sub.add_argument("--limit", type=_at_least(1), metavar="N",
+                     help="cut at N evenly spaced boundaries instead of every one")
+    sub.add_argument("--modes", type=_names, metavar="MODES",
+                     help="comma-separated crash modes (default: cut,torn,drop)")
+    sub.add_argument("--phases", type=_names, metavar="PHASES",
+                     help="mutation, rotation, or both (the default)")
+
+    sub = command(
+        "chaoscampaign", _chaoscampaign,
+        "the unified resilience campaign over replicated, sharded storage",
+        "Per configuration, drive a sharded keyspace on a mirrored disk through a "
+        "seeded schedule of inserts, checkpoints, key rotations, crashes, "
+        "single-replica corruptions, scrubs, and lockstep rollbacks.  No "
+        "acknowledged commit may be lost, every rollback must raise "
+        "StaleImageError, every corruption must be repaired, and the replicas "
+        "must converge byte for byte.  Exits 1 on any violation.",
+        parents=[campaign, configs])
+    sub.add_argument("--steps", type=_at_least(1), default=60, metavar="N",
+                     help="schedule length (default: %(default)s)")
+
+    sub = command(
+        "scrub", _scrub, "one anti-entropy pass over a mirrored, sharded keyspace",
+        "Verify every journal, checkpoint, and manifest MAC by MAC on every "
+        "replica, elect the freshest authentic copy of each blob, and rewrite "
+        "divergent or corrupt replicas from it.  Exits 1 if a blob has no "
+        "authentic copy anywhere.", parents=[keychain])
+    sub.add_argument("--replica", dest="replicas", action="append", default=[],
+                     metavar="PATH", help="a replica directory; give at least two")
+    sub.add_argument("--no-repair", dest="repair", action="store_false",
+                     help="report divergent replicas without rewriting them")
+    sub.add_argument("--demo", action="store_true",
+                     help="seed a demo keyspace when the replicas are empty")
+    sub.add_argument("--inject-fault", metavar="BLOB",
+                     help="first corrupt BLOB on every replica (unrepairable)")
+
+    sub = command(
+        "rotate", _rotate, "online master-key rotation of a sharded keyspace",
+        "Rotate the master key of the sharded keyspace in --dir, seeding a fresh "
+        "directory with six demo rows first, then remount it and verify every "
+        "rotated shard.  Without a new key, an interrupted rotation is resumed: "
+        "the old chain must already hold the target epoch.  Exits 1 if a shard "
+        "fails verification.", parents=[keychain])
+    sub.add_argument("--dir", metavar="PATH",
+                     help="the keyspace directory (required)")
+    sub.add_argument("--new-key", dest="new_masters", action="append", default=[],
+                     type=_hex_key, metavar="HEX", help="the new master key")
+    sub.add_argument("--new-seed", dest="new_masters", action="append", default=[],
+                     type=_seed_key, metavar="TEXT",
+                     help="the new master key, derived from TEXT")
+    sub.add_argument("--shard", metavar="ID", help="rotate this shard only")
+
+    sub = command(
+        "bench", _bench, "run the benchmark harness over every configuration",
+        "Run the benchmark harness over every configuration and write a "
+        "BENCH_<n>.json report.  Exits 1 if a measured count diverges from the "
+        "Sect. 4 cost model or, with --baseline, if a scenario regressed.")
+    sub.add_argument("--quick", action="store_true", help="the small profile")
+    sub.add_argument("--scenarios", type=_names, metavar="NAMES",
+                     help="comma-separated scenarios (default: all)")
+    sub.add_argument("--out", type=_output, metavar="PATH",
+                     help="report path (default: the next free BENCH_<n>.json)")
+    sub.add_argument("--force", action="store_true",
+                     help="overwrite an existing report")
+    sub.add_argument("--baseline", metavar="PATH",
+                     help="compare wall time and cipher counts with this report")
+    sub.add_argument("--threshold", type=_threshold, metavar="F",
+                     help="wall-time tolerance of --baseline (default: 0.25)")
+    sub.add_argument("--delta-out", type=_output, metavar="PATH",
+                     help="write the --baseline comparison to PATH")
+
+    sub = command(
+        "backendparity", _backendparity,
+        "check that every cipher backend emits byte-identical output",
+        "Every registered block-cipher backend must emit byte-identical blocks "
+        "and database images for all six configurations, and batched inserts "
+        "must match the sequential loop.  Exits 1 on any divergence.")
+    sub.add_argument("--out", type=_output, metavar="PATH",
+                     help="write the parity matrix as JSON")
+
+    sub = command(
+        "audit", _audit, "replay an audit log through the leakage monitor",
+        "Replay a security audit log through the streaming leakage monitor and "
+        "print the probe verdicts.  --live instead runs the seeded leakage "
+        "workload per configuration and checks the streaming verdicts against "
+        "the offline analysis and a replay; exits 1 on a mismatch.",
+        parents=[configs])
+    sub.add_argument("log", nargs="*", metavar="LOG.jsonl", help="the log to replay")
+    sub.add_argument("--metrics-jsonl", type=_output, metavar="PATH",
+                     help="write the leak.* metrics as JSONL")
+    sub.add_argument("--metrics-prom", type=_output, metavar="PATH",
+                     help="write the leak.* metrics as Prometheus text")
+    sub.add_argument("--live", action="store_true", help="run the workload live")
+    sub.add_argument("--log-dir", metavar="DIR",
+                     help="with --live, keep the event logs and metrics in DIR")
+
+    sub = command(
+        "trace", _trace, "export a traced query workload as Chrome trace JSON",
+        "Run a traced query workload per configuration and export every span as "
+        "Chrome trace-event JSON, for Perfetto or chrome://tracing.",
+        parents=[configs])
+    sub.add_argument("--out", type=_output, metavar="PATH",
+                     help="the trace file (required)")
+    sub.add_argument("--scenario", default="point_query", metavar="NAME",
+                     help="point_query or range_query (default: %(default)s)")
+
+    sub = command(
+        "explain", _explain, "EXPLAIN ANALYZE: profile each query of a scenario",
+        "Print each query's per-operator profile per configuration: wall time, "
+        "bytes, and measured against Sect. 4-predicted blockcipher calls.  Exits "
+        "1 if a measured count diverges from the model.", parents=[configs])
+    sub.add_argument("scenario", nargs="*", metavar="SCENARIO",
+                     help="point_query or range_query")
+
+    sub = command(
+        "monitor", _monitor, "check the health rules over a monitored scenario",
+        "Run a bench scenario or the rotation_campaign sweep under the telemetry "
+        "hub, evaluate the health rules on the labelled series, and write a "
+        "schema-validated HEALTH.json.  Exits 1 when an alert fires.",
+        parents=[configs, monitored])
+    sub.add_argument("--scenario", default="shard_rotation", metavar="NAME",
+                     help="the scenario (default: %(default)s)")
+    sub.add_argument("--quick", action="store_true", help="the small profile")
+    sub.add_argument("--follow", action="store_true",
+                     help="print a live per-tick dashboard")
+    sub.add_argument("--baseline", metavar="PATH",
+                     help="a BENCH_<n>.json for the p99 regression rule")
+    sub.add_argument("--rules", metavar="PATH",
+                     help="extra declarative rules, as a JSON array")
+    sub.add_argument("--prom", type=_output, metavar="PATH",
+                     help="export the series as Prometheus text")
+    sub.add_argument("--jsonl", type=_output, metavar="PATH",
+                     help="export the series as JSONL")
+
+    sub = command(
+        "forensics", _forensics, "grade a flight recording against its faults",
+        "Join a FLIGHT.json's injected faults against the detections the stack "
+        "emitted and print the per-class detection scorecard.  --chaos records "
+        "the seeded chaos campaign and requires 100% detection of every gated "
+        "class with no false alarm; --healthy requires a fault-free monitored "
+        "run to record no incident.  Exits 1 when a gate fails.",
+        parents=[campaign, configs, monitored])
+    sub.add_argument("flight", nargs="*", metavar="FLIGHT.json",
+                     help="the flight document to grade")
+    sub.add_argument("--chaos", action="store_true",
+                     help="record and grade a chaos flight")
+    sub.add_argument("--healthy", action="store_true",
+                     help="run the false-alarm control")
+    sub.add_argument("--timeline", action="store_true",
+                     help="also print the causally ordered incident timeline")
+    sub.add_argument("--steps", type=_at_least(1), default=24, metavar="N",
+                     help="chaos schedule length (default: %(default)s)")
+    sub.add_argument("--scenario", default="point_query", metavar="NAME",
+                     help="the --healthy scenario (default: %(default)s)")
+    return parser, subparsers.choices
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    parser, commands = _parser()
     if not argv:
-        print(__doc__)
+        parser.print_help()
         return 2
-    command, *rest = argv
     try:
-        if command == "demo":
-            return _demo(rest)
-        if command == "attacks":
-            return _attacks(rest)
-        if command == "overhead":
-            return _overhead(rest)
-        if command == "collisions":
-            return _collisions(rest)
-        if command == "faultcampaign":
-            return _faultcampaign(rest)
-        if command == "crashcampaign":
-            return _crashcampaign(rest)
-        if command == "chaoscampaign":
-            return _chaoscampaign(rest)
-        if command == "scrub":
-            return _scrub(rest)
-        if command == "rotate":
-            return _rotate(rest)
-        if command == "bench":
-            return _bench(rest)
-        if command == "backendparity":
-            return _backendparity(rest)
-        if command == "audit":
-            return _audit(rest)
-        if command == "trace":
-            return _trace(rest)
-        if command == "explain":
-            return _explain(rest)
-        if command == "monitor":
-            return _monitor(rest)
-        if command == "forensics":
-            return _forensics(rest)
+        if argv[0] not in commands and argv[0] not in ("-h", "--help"):
+            raise UsageError(f"unknown command {argv[0]!r}")
+        try:
+            args, extras = parser.parse_known_args(argv)
+        except SystemExit as exc:  # -h/--help printed the help text
+            return exc.code
+        if extras:
+            raise UsageError(f"unknown {args.command} argument {extras[0]!r}")
+        return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}\n", file=sys.stderr)
-        print(__doc__)
+        parser.print_help()
         return 2
-    print(f"unknown command {command!r}\n", file=sys.stderr)
-    print(__doc__)
-    return 2
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout went away.  Python flushes stdout again at
+        # exit; pointing it at devnull keeps that flush from failing too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)

@@ -623,3 +623,78 @@ def test_forensics_healthy_control_and_injected_negative(capsys):
     assert main(["forensics", "--healthy", "--scenario", "shard_rotation",
                  "--limit", "6", "--inject", "cipher-miscount"]) == 1
     assert "INCIDENT:" in capsys.readouterr().err
+
+
+def test_help_lists_every_command(capsys):
+    assert main(["--help"]) == 0
+    listed = {
+        line.split()[0]
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("    ")
+    }
+    commands = {command for command, _ in _USAGE_ERRORS}
+    assert len(commands) == 16
+    assert commands <= listed
+
+
+@pytest.mark.parametrize("command", [cmd for cmd, _ in _USAGE_ERRORS])
+def test_every_subcommand_prints_help(command, capsys):
+    assert main([command, "--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["faultcampaign", "--seed", "3"],
+    ["bench", "--scenario", "bulk_insert"],
+])
+def test_flag_prefixes_are_not_abbreviations(argv, capsys):
+    assert main(argv) == 2
+    assert f"unknown {argv[0]} argument" in capsys.readouterr().err
+
+
+def test_rotate_mixed_old_key_flags_keep_argv_order(tmp_path, capsys):
+    keyspace_dir = str(tmp_path / "ks")
+    key = "00112233445566778899aabbccddeeff"
+    assert main(["rotate", "--dir", keyspace_dir, "--new-key", key]) == 0
+    capsys.readouterr()
+    assert main(["rotate", "--dir", keyspace_dir,
+                 "--old-seed", "repro-demo-master", "--old-key", key,
+                 "--new-seed", "second"]) == 0
+    assert "verified: 2 shard(s) at epoch 2" in capsys.readouterr().out
+
+
+def test_shared_configs_flag_keeps_each_commands_default(capsys):
+    # monitor defaults --configs to aead-eax; explain, which shares the
+    # flag, must still default to all six configurations.
+    assert main(["explain", "point_query"]) == 0
+    assert capsys.readouterr().out.count("== point_query · ") == 6
+
+
+def test_output_flags_create_missing_directories(tmp_path, capsys):
+    out = tmp_path / "new" / "dir" / "trace.json"
+    assert main(["trace", "--configs", "aead-eax", "--out", str(out)]) == 0
+    assert out.exists()
+
+
+def test_closed_stdout_pipe_exits_without_traceback():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "overhead"],
+            stdout=write_end, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path}, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr.decode()
+    assert proc.returncode == 1
