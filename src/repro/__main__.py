@@ -421,6 +421,7 @@ def _scrub(args: argparse.Namespace) -> int:
 def _rotate(args: argparse.Namespace) -> int:
     from repro.core.keys import KeyChain
     from repro.durability.vdisk import FileDisk
+    from repro.errors import ReproError
     from repro.sharding import ShardedKeyspace
 
     if len(args.new_masters) > 1:
@@ -459,6 +460,22 @@ def _rotate(args: argparse.Namespace) -> int:
             f"no shard {shard_id!r}; keyspace holds "
             f"{', '.join(shard.shard_id for shard in keyspace.shards)}"
         )
+    # Read every row through --config first: a keyspace made under another
+    # configuration fails here, before the rotation has written anything.
+    for shard in keyspace.shards:
+        if shard.degraded:
+            continue
+        db = shard.manager.database
+        try:
+            for name in db.table_names:
+                for _ in db.scan(name):
+                    pass
+        except (ReproError, UnicodeDecodeError) as exc:
+            raise UsageError(
+                f"{shard.shard_id} does not read under --config {args.config} "
+                f"({type(exc).__name__}: {exc}); give the configuration the "
+                f"keyspace was made with"
+            ) from None
     before_counts = {
         name: keyspace.count(name)
         for name in keyspace.shards[0].manager.database.table_names

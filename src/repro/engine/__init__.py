@@ -21,6 +21,7 @@ from repro.engine.integrity import IntegrityIssue, IntegrityReport, verify_datab
 from repro.engine.query import (
     AtLeastQuery,
     AtMostQuery,
+    ColumnQuery,
     CountQuery,
     PointQuery,
     PrefixQuery,
@@ -41,6 +42,7 @@ __all__ = [
     "CellAddress",
     "CellCodec",
     "Column",
+    "ColumnQuery",
     "ColumnType",
     "CountQuery",
     "Database",

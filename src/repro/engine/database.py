@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterator, Sequence
 from repro.engine.btree import BPlusTree
 from repro.engine.codec import IndexEntryCodec, PlainEntryCodec
 from repro.engine.indextable import IndexTable
-from repro.engine.schema import ColumnType, TableSchema
+from repro.engine.schema import Column, ColumnType, TableSchema
 from repro.engine.table import CellAddress, Table
 from repro.errors import NoSuchIndexError, NoSuchTableError, SchemaError
 from repro.observability import timed
@@ -404,48 +404,29 @@ class Database:
         table.delete_row(row_id)
 
     # -- queries ---------------------------------------------------------------
+    # Each query kind states one key interval over the order-preserving cell
+    # encoding (``None`` leaves an end open), and :meth:`_select` answers it.
 
     @timed("db.query.point")
     def select_equals(
         self, table_name: str, column_name: str, value: Any
     ) -> list[tuple[int, list[Any]]]:
-        """Point query; uses an index when one exists, else a verified scan."""
-        AUDIT.emit("query.begin", op="point", table=table_name, column=column_name)
-        try:
-            table = self.table(table_name)
-            column = table.schema.column(column_name)
-            key = column.encode(value)
-            indexes = self.indexes_on(table_name, column_name)
-            if indexes:
-                row_ids = indexes[0].structure.search(key)
-                return [
-                    (row_id, self.get_row(table_name, row_id)) for row_id in row_ids
-                ]
-            return self._scan_filter(table_name, column_name, lambda cell: cell == key)
-        finally:
-            AUDIT.emit("query.end", op="point")
+        """Point query ``[value, value]``; uses an index when one exists,
+        else a verified scan."""
+        return self._select(
+            "point", table_name, column_name,
+            lambda column: (column.encode(value),) * 2,
+        )
 
     @timed("db.query.range")
     def select_range(
         self, table_name: str, column_name: str, low: Any, high: Any
     ) -> list[tuple[int, list[Any]]]:
         """Range query (inclusive); index-backed when possible."""
-        AUDIT.emit("query.begin", op="range", table=table_name, column=column_name)
-        try:
-            table = self.table(table_name)
-            column = table.schema.column(column_name)
-            low_key, high_key = column.encode(low), column.encode(high)
-            indexes = self.indexes_on(table_name, column_name)
-            if indexes:
-                hits = indexes[0].structure.range_search(low_key, high_key)
-                return [
-                    (row_id, self.get_row(table_name, row_id)) for _, row_id in hits
-                ]
-            return self._scan_filter(
-                table_name, column_name, lambda cell: low_key <= cell <= high_key
-            )
-        finally:
-            AUDIT.emit("query.end", op="range")
+        return self._select(
+            "range", table_name, column_name,
+            lambda column: (column.encode(low), column.encode(high)),
+        )
 
     @timed("db.query.prefix")
     def select_prefix(
@@ -455,73 +436,36 @@ class Database:
 
         Implemented as the byte range [prefix, prefix ∥ 0xFF…]: the
         schema's order-preserving encoding makes every string with the
-        prefix fall inside it.  Index-backed when possible.
+        prefix fall inside it, and UTF-8 never contains 0xFF, so no
+        other string does.  Index-backed when possible.
         """
-        from repro.engine.schema import ColumnType
-
-        AUDIT.emit("query.begin", op="prefix", table=table_name, column=column_name)
-        try:
-            table = self.table(table_name)
-            column = table.schema.column(column_name)
+        def interval(column: Column) -> tuple[bytes, bytes]:
             if column.type is not ColumnType.TEXT:
                 raise SchemaError("prefix queries require a TEXT column")
-            low_key = prefix.encode("utf-8")
-            high_key = low_key + b"\xff" * 8
-            indexes = self.indexes_on(table_name, column_name)
-            if indexes:
-                hits = indexes[0].structure.range_search(low_key, high_key)
-                return [
-                    (row_id, self.get_row(table_name, row_id)) for _, row_id in hits
-                ]
-            return self._scan_filter(
-                table_name, column_name, lambda cell: cell.startswith(low_key)
-            )
-        finally:
-            AUDIT.emit("query.end", op="prefix")
+            low = prefix.encode("utf-8")
+            return low, low + b"\xff" * 8
+
+        return self._select("prefix", table_name, column_name, interval)
 
     @timed("db.query.at_least")
     def select_at_least(
         self, table_name: str, column_name: str, low: Any
     ) -> list[tuple[int, list[Any]]]:
         """Open-ended range query: ``column >= low``."""
-        AUDIT.emit("query.begin", op="at_least", table=table_name, column=column_name)
-        try:
-            table = self.table(table_name)
-            column = table.schema.column(column_name)
-            low_key = column.encode(low)
-            indexes = self.indexes_on(table_name, column_name)
-            if indexes:
-                hits = indexes[0].structure.range_search(low_key, None)
-                return [
-                    (row_id, self.get_row(table_name, row_id)) for _, row_id in hits
-                ]
-            return self._scan_filter(
-                table_name, column_name, lambda cell: cell >= low_key
-            )
-        finally:
-            AUDIT.emit("query.end", op="at_least")
+        return self._select(
+            "at_least", table_name, column_name,
+            lambda column: (column.encode(low), None),
+        )
 
     @timed("db.query.at_most")
     def select_at_most(
         self, table_name: str, column_name: str, high: Any
     ) -> list[tuple[int, list[Any]]]:
         """Open-ended range query: ``column <= high``."""
-        AUDIT.emit("query.begin", op="at_most", table=table_name, column=column_name)
-        try:
-            table = self.table(table_name)
-            column = table.schema.column(column_name)
-            high_key = column.encode(high)
-            indexes = self.indexes_on(table_name, column_name)
-            if indexes:
-                hits = indexes[0].structure.range_search(b"", high_key)
-                return [
-                    (row_id, self.get_row(table_name, row_id)) for _, row_id in hits
-                ]
-            return self._scan_filter(
-                table_name, column_name, lambda cell: cell <= high_key
-            )
-        finally:
-            AUDIT.emit("query.end", op="at_most")
+        return self._select(
+            "at_most", table_name, column_name,
+            lambda column: (None, column.encode(high)),
+        )
 
     def scan(self, table_name: str) -> Iterator[tuple[int, list[Any]]]:
         """Full decoded scan of a table."""
@@ -595,13 +539,32 @@ class Database:
                 return self._cell_codec.decode_cells(items)
         return self._cell_codec.decode_cells(items)
 
-    def _scan_filter(
-        self, table_name: str, column_name: str, predicate: Callable[[bytes], bool]
+    def _select(
+        self,
+        op: str,
+        table_name: str,
+        column_name: str,
+        bounds: Callable[[Column], tuple[bytes | None, bytes | None]],
     ) -> list[tuple[int, list[Any]]]:
-        table = self.table(table_name)
-        column_pos = table.schema.column_index(column_name)
-        out = []
-        for row_id, _ in table.scan():
-            if predicate(self._plain_cell(table, row_id, column_pos)):
-                out.append((row_id, self.get_row(table_name, row_id)))
-        return out
+        """Rows whose ``column_name`` cell lies in the key interval that
+        ``bounds`` makes of the column, in index order from the first
+        usable index, else in row order from a verified scan."""
+        AUDIT.emit("query.begin", op=op, table=table_name, column=column_name)
+        try:
+            table = self.table(table_name)
+            low, high = bounds(table.schema.column(column_name))
+            indexes = self.indexes_on(table_name, column_name)
+            if indexes:
+                hits = indexes[0].structure.range_search(low or b"", high)
+                return [
+                    (row_id, self.get_row(table_name, row_id)) for _, row_id in hits
+                ]
+            column_pos = table.schema.column_index(column_name)
+            out = []
+            for row_id, _ in table.scan():
+                cell = self._plain_cell(table, row_id, column_pos)
+                if (low is None or low <= cell) and (high is None or cell <= high):
+                    out.append((row_id, self.get_row(table_name, row_id)))
+            return out
+        finally:
+            AUDIT.emit("query.end", op=op)

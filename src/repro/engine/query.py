@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.engine.database import Database
+from repro.errors import SchemaError
 from repro.observability.trace import TRACER
 
 
@@ -65,101 +66,73 @@ def _freeze(
     )
 
 
-def _access_path(db: Database, table: str, column: str) -> tuple[bool, bool]:
-    """(used_index, degraded) for a single-column predicate.
+#: The :class:`Database` method answering each kind of :class:`ColumnQuery`.
+_SELECTS = {
+    "point": "select_equals",
+    "range": "select_range",
+    "prefix": "select_prefix",
+    "at_least": "select_at_least",
+    "at_most": "select_at_most",
+}
 
-    A quarantined index no longer counts as usable, so the engine scans;
-    ``degraded`` records that the scan is a fallback, not the plan.
+
+@dataclass(frozen=True)
+class ColumnQuery(Query):
+    """A key-interval predicate on one column.
+
+    ``op`` is the query kind (``point``, ``range``, ``prefix``,
+    ``at_least`` or ``at_most``); ``args`` are the arguments its
+    ``Database.select_*`` method takes after the table and column.
     """
-    used_index = bool(db.indexes_on(table, column))
-    degraded = not used_index and bool(db.quarantined_indexes_on(table, column))
-    return used_index, degraded
+
+    table: str
+    column: str
+    op: str
+    args: tuple[Any, ...]
+
+    def __post_init__(self) -> None:
+        if self.op not in _SELECTS:
+            raise SchemaError(f"unknown query kind {self.op!r}")
+
+    def execute(self, db: Database) -> QueryResult:
+        name = f"query.{self.op}"
+        with TRACER.span(name, table=self.table, column=self.column) as span:
+            # A quarantined index is not usable, so the engine scans;
+            # ``degraded`` records that the scan is a fallback.
+            used_index = bool(db.indexes_on(self.table, self.column))
+            degraded = not used_index and bool(
+                db.quarantined_indexes_on(self.table, self.column)
+            )
+            select = getattr(db, _SELECTS[self.op])
+            rows = select(self.table, self.column, *self.args)
+            span.set_attribute("rows", len(rows))
+            span.set_attribute("used_index", used_index)
+            return _freeze(rows, used_index, degraded)
 
 
-@dataclass(frozen=True)
-class PointQuery(Query):
+def PointQuery(table: str, column: str, value: Any) -> ColumnQuery:
     """``SELECT * FROM table WHERE column = value``."""
-
-    table: str
-    column: str
-    value: Any
-
-    def execute(self, db: Database) -> QueryResult:
-        with TRACER.span("query.point", table=self.table, column=self.column) as span:
-            used_index, degraded = _access_path(db, self.table, self.column)
-            rows = db.select_equals(self.table, self.column, self.value)
-            span.set_attribute("rows", len(rows))
-            span.set_attribute("used_index", used_index)
-            return _freeze(rows, used_index, degraded)
+    return ColumnQuery(table, column, "point", (value,))
 
 
-@dataclass(frozen=True)
-class RangeQuery(Query):
+def RangeQuery(table: str, column: str, low: Any, high: Any) -> ColumnQuery:
     """``SELECT * FROM table WHERE low <= column <= high``."""
-
-    table: str
-    column: str
-    low: Any
-    high: Any
-
-    def execute(self, db: Database) -> QueryResult:
-        with TRACER.span("query.range", table=self.table, column=self.column) as span:
-            used_index, degraded = _access_path(db, self.table, self.column)
-            rows = db.select_range(self.table, self.column, self.low, self.high)
-            span.set_attribute("rows", len(rows))
-            span.set_attribute("used_index", used_index)
-            return _freeze(rows, used_index, degraded)
+    return ColumnQuery(table, column, "range", (low, high))
 
 
-@dataclass(frozen=True)
-class PrefixQuery(Query):
+def PrefixQuery(table: str, column: str, prefix: str) -> ColumnQuery:
     """``SELECT * FROM table WHERE column LIKE 'prefix%'`` (TEXT only)."""
-
-    table: str
-    column: str
-    prefix: str
-
-    def execute(self, db: Database) -> QueryResult:
-        with TRACER.span("query.prefix", table=self.table, column=self.column) as span:
-            used_index, degraded = _access_path(db, self.table, self.column)
-            rows = db.select_prefix(self.table, self.column, self.prefix)
-            span.set_attribute("rows", len(rows))
-            span.set_attribute("used_index", used_index)
-            return _freeze(rows, used_index, degraded)
+    return ColumnQuery(table, column, "prefix", (prefix,))
 
 
-@dataclass(frozen=True)
-class AtLeastQuery(Query):
+def AtLeastQuery(table: str, column: str, low: Any) -> ColumnQuery:
     """``SELECT * FROM table WHERE column >= low``."""
-
-    table: str
-    column: str
-    low: Any
-
-    def execute(self, db: Database) -> QueryResult:
-        with TRACER.span("query.at_least", table=self.table, column=self.column) as span:
-            used_index, degraded = _access_path(db, self.table, self.column)
-            rows = db.select_at_least(self.table, self.column, self.low)
-            span.set_attribute("rows", len(rows))
-            span.set_attribute("used_index", used_index)
-            return _freeze(rows, used_index, degraded)
+    return ColumnQuery(table, column, "at_least", (low,))
 
 
-@dataclass(frozen=True)
-class AtMostQuery(Query):
+def AtMostQuery(table: str, column: str, high: Any) -> ColumnQuery:
     """``SELECT * FROM table WHERE column <= high``."""
-
-    table: str
-    column: str
-    high: Any
-
-    def execute(self, db: Database) -> QueryResult:
-        with TRACER.span("query.at_most", table=self.table, column=self.column) as span:
-            used_index, degraded = _access_path(db, self.table, self.column)
-            rows = db.select_at_most(self.table, self.column, self.high)
-            span.set_attribute("rows", len(rows))
-            span.set_attribute("used_index", used_index)
-            return _freeze(rows, used_index, degraded)
+    return ColumnQuery(table, column, "at_most", (high,))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import io
 import struct
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.engine.btree import BEntry, BNode, BPlusTree
 from repro.engine.database import (
@@ -335,10 +335,11 @@ def parse_image(
 
     Never raises on bad input.  The checks: magic, framing and count
     bounds, column types, index kinds, a duplicate table, row, index
-    name, index row or tree node (the first copy wins), a row counter at
-    or below a stored row id (raised past it), a tree order below 3, an
-    index naming an unknown table or column, and trailing bytes.  The
-    parse stops only where the framing is lost.
+    name, index row or tree node (the first copy wins), an id counter at
+    or below a stored id (raised past it; the row counter of a table or
+    index table, the node and entry counters of a B⁺-tree), a tree order
+    below 3, an index naming an unknown table or column, and trailing
+    bytes.  The parse stops only where the framing is lost.
     """
     parsed = ParsedImage(Database(cell_codec, index_codec_factory))
     reader = _Reader(image)
@@ -423,14 +424,10 @@ def _read_table(reader: _Reader, parsed: ParsedImage) -> None:
             parsed.duplicate_rows.append(f"{name}(r={row_id})#dup")
         else:
             rows[row_id] = cells
-    if rows and next_row <= max(rows):
-        # The next insert would overwrite a stored row.
-        parsed.note(
-            counter_at, name,
-            f"row counter {next_row} of table {name!r} at or below "
-            f"stored row {max(rows)}",
-        )
-        next_row = max(rows) + 1
+    next_row = _counter_past(
+        parsed, counter_at, name, f"row counter {next_row} of table {name!r}",
+        next_row, rows,
+    )
     if duplicate:
         parsed.duplicate_rows.extend(f"{name}~dup(r={row_id})" for row_id in rows)
     else:
@@ -492,6 +489,7 @@ def _read_index_table(
 ) -> Callable[[IndexTable], None]:
     """An index-table body after its id; returns how to restore it."""
     root = reader.read_int()
+    counter_at = reader.offset
     next_row = reader.read_int()
     rows: dict[int, IndexRow] = {}
     for _ in range(reader.read_count("index row")):
@@ -510,6 +508,10 @@ def _read_index_table(
             )
         else:
             rows[row.row_id] = row
+    next_row = _counter_past(
+        parsed, counter_at, f"idx:{name}",
+        f"row counter {next_row} of index {name!r}", next_row, rows,
+    )
 
     def restore(index: IndexTable) -> None:
         index._root, index._next_row, index._rows = root, next_row, rows
@@ -522,6 +524,7 @@ def _read_btree(
 ) -> Callable[[BPlusTree], None]:
     """A B+-tree body after its id and order; returns how to restore it."""
     root = reader.read_int()
+    counter_at = reader.offset
     next_node = reader.read_int()
     next_entry_row = reader.read_int()
     nodes: dict[int, BNode] = {}
@@ -543,6 +546,15 @@ def _read_btree(
             )
         else:
             nodes[node.node_id] = node
+    next_node = _counter_past(
+        parsed, counter_at, f"idx:{name}",
+        f"node counter {next_node} of index {name!r}", next_node, nodes,
+    )
+    next_entry_row = _counter_past(
+        parsed, counter_at + 8, f"idx:{name}",
+        f"entry counter {next_entry_row} of index {name!r}", next_entry_row,
+        (entry.row_id for node in nodes.values() for entry in node.entries),
+    )
 
     def restore(tree: BPlusTree) -> None:
         tree._root, tree._next_node, tree._next_entry_row = (
@@ -551,3 +563,19 @@ def _read_btree(
         tree._nodes = nodes
 
     return restore
+
+
+def _counter_past(
+    parsed: ParsedImage, at: int, where: str, what: str, counter: int,
+    ids: Iterable[int],
+) -> int:
+    """``counter`` raised past every stored id in ``ids``.
+
+    A counter at or below a stored id would let the next allocation
+    overwrite that record, so ``what`` is noted as an anomaly at ``at``.
+    """
+    top = max(ids, default=None)
+    if top is None or counter > top:
+        return counter
+    parsed.note(at, where, f"{what} at or below stored id {top}")
+    return top + 1

@@ -4,10 +4,10 @@ Both loaders read an image through one parser,
 :func:`repro.engine.storage.parse_image`.  It builds every table, row
 and index it can and records each anomaly it steps over: a duplicate
 table, row, index name, index row or tree node (the first copy wins), a
-row counter at or below a stored row id (raised past it), a tree order
-below 3 or an index naming an unknown table or column (the index is
-left unbuilt), and trailing bytes.  It stops only where the framing is
-lost.
+row, node or entry counter at or below a stored id (raised past it), a
+tree order below 3 or an index naming an unknown table or column (the
+index is left unbuilt), and trailing bytes.  It stops only where the
+framing is lost.
 
 The strict loader (:func:`repro.engine.storage.load_database`) is the
 fail-closed policy on top: any anomaly aborts the restore.  That is the

@@ -261,6 +261,49 @@ def test_rewound_row_counter_rejected():
     assert "row counter 2" in str(excinfo.value)
 
 
+#: (index kind, rows, counter name, octets from the counter to the count
+#: of index rows or tree nodes that follows it).
+INDEX_COUNTERS = [
+    ("table", 6, "row counter", 8),
+    ("btree", 20, "node counter", 16),
+    ("btree", 20, "entry counter", 8),
+]
+INDEX_COUNTER_IDS = ["index-table-row", "btree-node", "btree-entry"]
+
+
+def rewound_index_image(
+    master: bytes, kind: str, rows: int, back: int
+) -> tuple[bytes, int]:
+    """An EAX image of ``rows`` rows with an index on ``k`` (a B+-tree
+    has order 4) whose counter ``back`` octets before its record count
+    is rewound to 1; returns the image and the counter's offset."""
+    db = EncryptedDatabase(master, EncryptionConfig.paper_fixed("eax"))
+    db.create_table(SCHEMA)
+    for i in range(rows):
+        db.insert("t", [i, f"value-{i:03d}"])
+    db.create_index("t_k", "t", "k", kind=kind, order=4)
+    image = bytearray(dump_database(db))
+    record = next(
+        record for record in map_image(bytes(image)).records
+        if record.where.startswith("idx:t_k")
+    )
+    counter_at = record.count_offset - back
+    struct.pack_into(">q", image, counter_at, 1)
+    return bytes(image), counter_at
+
+
+@pytest.mark.parametrize(
+    "kind, rows, counter, back", INDEX_COUNTERS, ids=INDEX_COUNTER_IDS
+)
+def test_rewound_index_counter_rejected(kind, rows, counter, back):
+    # The next index insert would overwrite a stored index row or node.
+    image, counter_at = rewound_index_image(MASTER, kind, rows, back)
+    with pytest.raises(StorageFormatError) as excinfo:
+        load_database(image)
+    assert excinfo.value.offset == counter_at
+    assert f"{counter} 1 of index 't_k'" in str(excinfo.value)
+
+
 def test_implausible_count_rejected():
     # A flipped bit in a count field must not make the loader loop for
     # terabytes; counts beyond the remaining bytes are rejected outright.

@@ -5,7 +5,7 @@ import struct
 import pytest
 
 from repro.core.encrypted_db import EncryptedDatabase, EncryptionConfig
-from repro.engine.query import PointQuery
+from repro.engine.query import PointQuery, RangeQuery
 from repro.engine.schema import Column, ColumnType, TableSchema
 from repro.engine.storage import dump_database, load_database
 from repro.errors import ReproError
@@ -18,6 +18,11 @@ from repro.robustness.recovery import (
     OUTCOME_OK,
     OUTCOME_QUARANTINED_CRYPTO,
     load_database_resilient,
+)
+from tests.engine.test_storage import (
+    INDEX_COUNTER_IDS,
+    INDEX_COUNTERS,
+    rewound_index_image,
 )
 
 MASTER = b"recovery-test-key-0123456789abcd"
@@ -200,6 +205,27 @@ def test_rewound_row_counter_is_raised_past_the_stored_rows():
     assert [issue.kind for issue in result.report.issues] == ["record-structural"]
     assert result.database.insert("t", [99, "fresh"]) == 8
     assert result.database.get_row("t", 2) == [2, f"value-002-{'x' * 40}"]
+
+
+@pytest.mark.parametrize(
+    "kind, rows, counter, back", INDEX_COUNTERS, ids=INDEX_COUNTER_IDS
+)
+def test_rewound_index_counter_is_raised_past_the_stored_ids(
+    kind, rows, counter, back
+):
+    image, _ = rewound_index_image(MASTER, kind, rows, back)
+    result = resilient(image, EncryptionConfig.paper_fixed("eax"))
+    assert [(issue.kind, issue.location) for issue in result.report.issues] == [
+        ("record-structural", "idx:t_k")
+    ]
+    assert result.report.index_outcomes == {"t_k": INDEX_OK}
+    db = result.database
+    for i in range(10):
+        db.insert("t", [100 + i, f"fresh-{i}"])
+    for i in range(rows):
+        found = PointQuery("t", "k", i).execute(db)
+        assert found.used_index and found.row_ids() == [i]
+    assert RangeQuery("t", "k", 0, 5).execute(db).row_ids() == list(range(6))
 
 
 @pytest.mark.parametrize(

@@ -401,6 +401,58 @@ def test_rotate_rejects_unknown_shard_id(tmp_path, capsys):
     assert "s0, s1" in captured.err
 
 
+_EAX_LINEAGE = ["--old-seed", "repro-demo-master", "--old-seed", "k1",
+                "--new-seed", "k2"]
+
+
+def test_rotate_under_another_config_is_a_usage_error(tmp_path, capsys):
+    keyspace_dir = str(tmp_path / "ks")
+    assert main(["rotate", "--dir", keyspace_dir, "--new-seed", "k1"]) == 0
+    capsys.readouterr()
+    for slug in ("plain", "xor", "append", "dbsec2005", "aead-ocb"):
+        assert main(["rotate", "--dir", keyspace_dir, *_EAX_LINEAGE,
+                     "--config", slug]) == 2, slug
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"--config {slug}" in err, err
+
+
+def test_rotate_after_a_refused_config_reaches_the_next_epoch(tmp_path, capsys):
+    keyspace_dir = str(tmp_path / "ks")
+    assert main(["rotate", "--dir", keyspace_dir, "--new-seed", "k1"]) == 0
+    for slug in ("plain", "aead-ocb"):
+        assert main(["rotate", "--dir", keyspace_dir, *_EAX_LINEAGE,
+                     "--config", slug]) == 2
+    capsys.readouterr()
+    assert main(["rotate", "--dir", keyspace_dir, *_EAX_LINEAGE,
+                 "--config", "aead-eax"]) == 0
+    assert "verified: 2 shard(s) at epoch 2" in capsys.readouterr().out
+
+
+def test_rotate_under_plain_refuses_undecodable_text(tmp_path, capsys):
+    # With a TEXT first column the typed read under --config plain fails
+    # in UTF-8 decoding, not with a SchemaError as on the demo table.
+    import hashlib
+
+    from repro.core.encrypted_db import EncryptionConfig
+    from repro.core.keys import KeyChain
+    from repro.durability.vdisk import FileDisk
+    from repro.engine.schema import Column, ColumnType, TableSchema
+    from repro.sharding import ShardedKeyspace
+
+    keyspace_dir = str(tmp_path / "ks")
+    chain = KeyChain([hashlib.sha256(b"repro-demo-master").digest()])
+    keyspace = ShardedKeyspace.open(
+        FileDisk(keyspace_dir), chain, EncryptionConfig.paper_fixed("eax")
+    )
+    keyspace.create_table(TableSchema("notes", [Column("text", ColumnType.TEXT)]))
+    for i in range(4):
+        keyspace.insert("notes", [f"note-{i}"])
+    keyspace.checkpoint()
+    assert main(["rotate", "--dir", keyspace_dir, "--new-seed", "k1",
+                 "--config", "plain"]) == 2
+    assert "UnicodeDecodeError" in capsys.readouterr().err
+
+
 def test_rotate_rejects_unknown_flag(capsys):
     assert main(["rotate", "--frobnicate"]) == 2
     assert "unknown rotate argument" in capsys.readouterr().err
