@@ -20,7 +20,7 @@ from abc import ABC, abstractmethod
 from typing import Type
 
 from repro.engine.table import CellAddress
-from repro.primitives.hmac import HMAC
+from repro.primitives.hmac import make_keyed_hash
 from repro.primitives.sha1 import SHA1
 from repro.primitives.sha256 import SHA256
 
@@ -70,13 +70,12 @@ class KeyedMu(Mu):
             raise ValueError(
                 f"size must be in 1..{hash_cls.digest_size} for {hash_cls.name}"
             )
-        self._key = bytes(key)
-        self._hash_cls = hash_cls
+        self._keyed = make_keyed_hash(bytes(key), hash_cls)
         self.size = size
         self.name = f"hmac-{hash_cls.name}/{size * 8}"
 
     def __call__(self, address: CellAddress) -> bytes:
-        return HMAC(self._key, self._hash_cls, address.encode()).digest()[: self.size]
+        return self._keyed(address.encode())[: self.size]
 
 
 def default_mu() -> HashMu:

@@ -11,23 +11,26 @@ from __future__ import annotations
 from typing import Type
 
 from repro.mac.base import MAC
-from repro.primitives.hmac import HMAC
+from repro.primitives.hmac import make_keyed_hash
 from repro.primitives.sha256 import SHA256
 
 
 class HMACMAC(MAC):
-    """HMAC-based MAC (default HMAC-SHA256), optionally truncated."""
+    """HMAC-based MAC (default HMAC-SHA256), optionally truncated.
+
+    The key is absorbed once, at construction; each tag starts from a
+    copy of that keyed state.
+    """
 
     def __init__(
         self, key: bytes, hash_cls: Type = SHA256, tag_size: int | None = None
     ) -> None:
-        self._key = bytes(key)
-        self._hash_cls = hash_cls
         full = hash_cls.digest_size
         self.tag_size = tag_size if tag_size is not None else full
         if not 1 <= self.tag_size <= full:
             raise ValueError("tag size must be between 1 and the digest size")
         self.name = f"hmac-{hash_cls.name}"
+        self._keyed = make_keyed_hash(bytes(key), hash_cls)
 
     def tag(self, message: bytes) -> bytes:
-        return HMAC(self._key, self._hash_cls, message).digest()[: self.tag_size]
+        return self._keyed(message)[: self.tag_size]

@@ -74,6 +74,14 @@ _RCON = [0x01]
 while len(_RCON) < 14:
     _RCON.append(_gf_multiply(_RCON[-1], 2))
 
+# One 256-entry product table per MixColumns / InvMixColumns coefficient,
+# built from _gf_multiply: each field multiplication of a column mix is
+# then one table lookup instead of an eight-step loop.
+_MUL2, _MUL3, _MUL9, _MUL11, _MUL13, _MUL14 = (
+    bytes(_gf_multiply(x, factor) for x in range(256))
+    for factor in (2, 3, 9, 11, 13, 14)
+)
+
 
 # -- cached key schedule ------------------------------------------------------
 #
@@ -198,49 +206,21 @@ class AES(BlockCipher):
 
     @staticmethod
     def _mix_columns(state: list[int]) -> None:
-        for c in range(4):
-            col = state[4 * c : 4 * c + 4]
-            state[4 * c + 0] = (
-                _gf_multiply(col[0], 2) ^ _gf_multiply(col[1], 3) ^ col[2] ^ col[3]
-            )
-            state[4 * c + 1] = (
-                col[0] ^ _gf_multiply(col[1], 2) ^ _gf_multiply(col[2], 3) ^ col[3]
-            )
-            state[4 * c + 2] = (
-                col[0] ^ col[1] ^ _gf_multiply(col[2], 2) ^ _gf_multiply(col[3], 3)
-            )
-            state[4 * c + 3] = (
-                _gf_multiply(col[0], 3) ^ col[1] ^ col[2] ^ _gf_multiply(col[3], 2)
-            )
+        for c in range(0, 16, 4):
+            a0, a1, a2, a3 = state[c : c + 4]
+            state[c + 0] = _MUL2[a0] ^ _MUL3[a1] ^ a2 ^ a3
+            state[c + 1] = a0 ^ _MUL2[a1] ^ _MUL3[a2] ^ a3
+            state[c + 2] = a0 ^ a1 ^ _MUL2[a2] ^ _MUL3[a3]
+            state[c + 3] = _MUL3[a0] ^ a1 ^ a2 ^ _MUL2[a3]
 
     @staticmethod
     def _inv_mix_columns(state: list[int]) -> None:
-        for c in range(4):
-            col = state[4 * c : 4 * c + 4]
-            state[4 * c + 0] = (
-                _gf_multiply(col[0], 14)
-                ^ _gf_multiply(col[1], 11)
-                ^ _gf_multiply(col[2], 13)
-                ^ _gf_multiply(col[3], 9)
-            )
-            state[4 * c + 1] = (
-                _gf_multiply(col[0], 9)
-                ^ _gf_multiply(col[1], 14)
-                ^ _gf_multiply(col[2], 11)
-                ^ _gf_multiply(col[3], 13)
-            )
-            state[4 * c + 2] = (
-                _gf_multiply(col[0], 13)
-                ^ _gf_multiply(col[1], 9)
-                ^ _gf_multiply(col[2], 14)
-                ^ _gf_multiply(col[3], 11)
-            )
-            state[4 * c + 3] = (
-                _gf_multiply(col[0], 11)
-                ^ _gf_multiply(col[1], 13)
-                ^ _gf_multiply(col[2], 9)
-                ^ _gf_multiply(col[3], 14)
-            )
+        for c in range(0, 16, 4):
+            a0, a1, a2, a3 = state[c : c + 4]
+            state[c + 0] = _MUL14[a0] ^ _MUL11[a1] ^ _MUL13[a2] ^ _MUL9[a3]
+            state[c + 1] = _MUL9[a0] ^ _MUL14[a1] ^ _MUL11[a2] ^ _MUL13[a3]
+            state[c + 2] = _MUL13[a0] ^ _MUL9[a1] ^ _MUL14[a2] ^ _MUL11[a3]
+            state[c + 3] = _MUL11[a0] ^ _MUL13[a1] ^ _MUL9[a2] ^ _MUL14[a3]
 
     # -- public API ---------------------------------------------------------
 

@@ -16,16 +16,22 @@ from repro.primitives.util import constant_time_equal
 
 
 class HMAC:
-    """Incremental HMAC over a hash class with update/digest interface."""
+    """Incremental HMAC over a hash class with update/digest interface.
+
+    The key is absorbed once: the inner and outer hash states start from
+    the ipad and opad blocks when the object is keyed (RFC 2104, Sect. 4),
+    and :meth:`copy` hands out that keyed state, so a caller that MACs
+    many messages under one key pays for the two pad blocks once.
+    """
 
     def __init__(self, key: bytes, hash_cls: Type = SHA256, data: bytes = b"") -> None:
-        self._hash_cls = hash_cls
         block_size = hash_cls.block_size
         if len(key) > block_size:
             key = hash_cls(key).digest()
         key = key.ljust(block_size, b"\x00")
-        self._outer_pad = bytes(b ^ 0x5C for b in key)
         self._inner = hash_cls(bytes(b ^ 0x36 for b in key))
+        # Never updated: digest() finishes a copy, so copies may share it.
+        self._outer = hash_cls(bytes(b ^ 0x5C for b in key))
         self.digest_size = hash_cls.digest_size
         if data:
             self.update(data)
@@ -34,12 +40,20 @@ class HMAC:
         self._inner.update(data)
 
     def digest(self) -> bytes:
-        outer = self._hash_cls(self._outer_pad)
+        outer = self._outer.copy()
         outer.update(self._inner.digest())
         return outer.digest()
 
     def hexdigest(self) -> str:
         return self.digest().hex()
+
+    def copy(self) -> "HMAC":
+        """An independent HMAC with the same key and absorbed message."""
+        clone = object.__new__(HMAC)
+        clone._inner = self._inner.copy()
+        clone._outer = self._outer
+        clone.digest_size = self.digest_size
+        return clone
 
     def verify(self, tag: bytes) -> bool:
         """Constant-time comparison of ``tag`` against the computed MAC."""
@@ -57,9 +71,15 @@ def hmac_sha1(key: bytes, data: bytes) -> bytes:
 
 
 def make_keyed_hash(key: bytes, hash_cls: Type = SHA256) -> Callable[[bytes], bytes]:
-    """Return a unary keyed-hash closure (drop-in replacement for µ's h)."""
+    """Return a unary keyed-hash closure (drop-in replacement for µ's h).
 
-    def keyed(data: bytes) -> bytes:
-        return HMAC(key, hash_cls, data).digest()
+    The key is absorbed once; each call MACs a copy of that keyed state.
+    """
+    keyed = HMAC(key, hash_cls)
 
-    return keyed
+    def keyed_hash(data: bytes) -> bytes:
+        mac = keyed.copy()
+        mac.update(data)
+        return mac.digest()
+
+    return keyed_hash

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import struct
 
-from repro.primitives.util import rotr32
-
 # fmt: off
 _K = (
     0x428A2F98, 0x71374491, 0xB5C0FBCF, 0xE9B5DBA5,
@@ -38,6 +36,7 @@ _INITIAL_STATE = (
 
 # fmt: on
 _MASK = 0xFFFFFFFF
+_UNPACK_BLOCK = struct.Struct(">16I").unpack
 
 
 class SHA256:
@@ -86,27 +85,33 @@ class SHA256:
         return clone
 
     def _compress(self, block: bytes) -> None:
-        w = list(struct.unpack(">16I", block))
+        # The one call per 64-octet block.  Rotations are written inline
+        # (x >> n | x << 32 - n) and left unmasked: bits above the 32nd
+        # never reach the low word of a sum, so one mask per sum suffices.
+        k = _K
+        mask = _MASK
+        w = list(_UNPACK_BLOCK(block))
         for i in range(16, 64):
-            s0 = rotr32(w[i - 15], 7) ^ rotr32(w[i - 15], 18) ^ (w[i - 15] >> 3)
-            s1 = rotr32(w[i - 2], 17) ^ rotr32(w[i - 2], 19) ^ (w[i - 2] >> 10)
-            w.append((w[i - 16] + s0 + w[i - 7] + s1) & _MASK)
+            x = w[i - 15]
+            y = w[i - 2]
+            s0 = (x >> 7 | x << 25) ^ (x >> 18 | x << 14) ^ (x >> 3)
+            s1 = (y >> 17 | y << 15) ^ (y >> 19 | y << 13) ^ (y >> 10)
+            w.append((w[i - 16] + s0 + w[i - 7] + s1) & mask)
 
         a, b, c, d, e, f, g, h = self._state
         for i in range(64):
-            s1 = rotr32(e, 6) ^ rotr32(e, 11) ^ rotr32(e, 25)
-            ch = (e & f) ^ (~e & g)
-            temp1 = (h + s1 + ch + _K[i] + w[i]) & _MASK
-            s0 = rotr32(a, 2) ^ rotr32(a, 13) ^ rotr32(a, 22)
-            maj = (a & b) ^ (a & c) ^ (b & c)
-            temp2 = (s0 + maj) & _MASK
+            s1 = (e >> 6 | e << 26) ^ (e >> 11 | e << 21) ^ (e >> 25 | e << 7)
+            ch = g ^ (e & (f ^ g))
+            temp1 = h + s1 + ch + k[i] + w[i]
+            s0 = (a >> 2 | a << 30) ^ (a >> 13 | a << 19) ^ (a >> 22 | a << 10)
+            maj = (a & b) | (c & (a | b))
             h, g, f = g, f, e
-            e = (d + temp1) & _MASK
+            e = (d + temp1) & mask
             d, c, b = c, b, a
-            a = (temp1 + temp2) & _MASK
+            a = (temp1 + s0 + maj) & mask
 
         self._state = [
-            (x + y) & _MASK for x, y in zip(self._state, (a, b, c, d, e, f, g, h))
+            (x + y) & mask for x, y in zip(self._state, (a, b, c, d, e, f, g, h))
         ]
 
 

@@ -80,12 +80,6 @@ def rotl32(value: int, amount: int) -> int:
     return ((value << amount) | (value >> (32 - amount))) & 0xFFFFFFFF
 
 
-def rotr32(value: int, amount: int) -> int:
-    """Rotate a 32-bit word right (used by SHA-256)."""
-    value &= 0xFFFFFFFF
-    return ((value >> amount) | (value << (32 - amount))) & 0xFFFFFFFF
-
-
 def gf_double(block: bytes) -> bytes:
     """Doubling in GF(2^128) / GF(2^64), as used by OMAC, PMAC and OCB.
 

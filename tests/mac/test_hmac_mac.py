@@ -1,6 +1,11 @@
 """The HMAC adapter behind the MAC interface."""
 
+import hashlib
+import hmac as stdlib_hmac
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mac.hmac_mac import HMACMAC
 from repro.primitives.hmac import hmac_sha1, hmac_sha256
@@ -30,3 +35,21 @@ def test_tag_size_bounds():
         HMACMAC(b"key", tag_size=0)
     with pytest.raises(ValueError):
         HMACMAC(b"key", tag_size=33)
+
+
+@pytest.mark.parametrize("key_size", [0, 20, 64, 65, 131])
+@given(messages=st.lists(st.binary(max_size=300), min_size=1, max_size=6))
+@settings(max_examples=25, deadline=None)
+def test_one_keyed_instance_tags_many_messages(key_size, messages):
+    # The key is absorbed once per instance; every tag must still be the
+    # HMAC of its own message alone, whatever was tagged before it.
+    key = bytes((7 * i + key_size) & 0xFF for i in range(key_size))
+    sha256_mac = HMACMAC(key)
+    sha1_mac = HMACMAC(key, SHA1, tag_size=10)
+    for message in messages:
+        assert sha256_mac.tag(message) == (
+            stdlib_hmac.new(key, message, hashlib.sha256).digest()
+        )
+        assert sha1_mac.tag(message) == (
+            stdlib_hmac.new(key, message, hashlib.sha1).digest()[:10]
+        )

@@ -44,6 +44,17 @@ def test_incremental_interface():
     assert mac.digest() == hmac_sha256(b"key", b"hello world")
 
 
+def test_copy_is_independent():
+    mac = HMAC(b"key", SHA256, b"shared")
+    clone = mac.copy()
+    clone.update(b"-more")
+    assert mac.digest() == hmac_sha256(b"key", b"shared")
+    assert clone.digest() == hmac_sha256(b"key", b"shared-more")
+    mac.update(b"-other")
+    assert clone.digest() == hmac_sha256(b"key", b"shared-more")
+    assert mac.digest() == hmac_sha256(b"key", b"shared-other")
+
+
 def test_verify():
     mac = HMAC(b"key", SHA1, b"message")
     assert mac.verify(hmac_sha1(b"key", b"message"))

@@ -36,6 +36,14 @@ def test_sha256_matches_hashlib(data):
     assert sha256(data) == hashlib.sha256(data).digest()
 
 
+@given(st.integers(min_value=1024, max_value=16384), st.integers(0, 255))
+@settings(max_examples=10, deadline=None)
+def test_sha256_matches_hashlib_on_long_messages(size, seed):
+    # Checkpoint images run to ~14 KB: hundreds of compressions in a row.
+    data = bytes((seed + 31 * i + (i >> 8)) & 0xFF for i in range(size))
+    assert sha256(data) == hashlib.sha256(data).digest()
+
+
 @pytest.mark.parametrize("size", [55, 56, 57, 63, 64, 65, 119, 120, 128])
 def test_padding_boundaries(size):
     # Lengths around the 64-byte block and 55/56-byte padding boundary.

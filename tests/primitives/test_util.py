@@ -19,7 +19,6 @@ from repro.primitives.util import (
     ntz,
     pad_or_trim,
     rotl32,
-    rotr32,
     split_blocks,
     xor_bytes,
     xor_bytes_strict,
@@ -72,9 +71,7 @@ def test_int_bytes_round_trip(value):
 
 def test_rotations():
     assert rotl32(0x80000000, 1) == 1
-    assert rotr32(1, 1) == 0x80000000
     assert rotl32(0x12345678, 8) == 0x34567812
-    assert rotr32(rotl32(0xDEADBEEF, 13), 13) == 0xDEADBEEF
 
 
 @given(st.binary(min_size=16, max_size=16))

@@ -15,6 +15,7 @@ from repro.durability.wal import (
 )
 from repro.engine.schema import Column, ColumnType, TableSchema
 from repro.errors import StaleImageError
+from repro.mac.hmac_mac import HMACMAC
 from repro.resilience.anchor import MemoryAnchor
 from repro.resilience.replica import MirroredDisk
 from repro.resilience.scrub import scrub_database, scrub_keyspace
@@ -80,6 +81,45 @@ def test_clean_mirror_scrubs_with_no_repairs():
     assert report.repairs == 0
     assert report.blobs_checked == 2  # journal + checkpoint
     assert report.mac_verifications == 6
+
+
+def count_tags(monkeypatch) -> list[int]:
+    """Count every HMAC tag computed from here on."""
+    tags = [0]
+    tag = HMACMAC.tag
+
+    def counted(self, message):
+        tags[0] += 1
+        return tag(self, message)
+
+    monkeypatch.setattr(HMACMAC, "tag", counted)
+    return tags
+
+
+def test_a_clean_pass_macs_each_distinct_copy_once(monkeypatch):
+    # Three byte-identical copies of the checkpoint and of the one-record
+    # journal: one MAC each, and the journal bound reuses the checkpoint
+    # verdict.  The report still counts every copy it checked.
+    mirror = mirror3()
+    manager = seeded_database(mirror)
+    tags = count_tags(monkeypatch)
+    report = scrub_database(mirror, manager.mac)
+    assert report.ok and report.repairs == 0
+    assert report.mac_verifications == 6
+    assert tags[0] == 2
+
+
+@pytest.mark.parametrize("blob", [CHECKPOINT_BLOB, JOURNAL_BLOB])
+def test_a_corrupt_copy_costs_one_more_mac(monkeypatch, blob):
+    mirror = mirror3()
+    manager = seeded_database(mirror)
+    bitflip(mirror.replicas[1], blob)
+    tags = count_tags(monkeypatch)
+    report = scrub_database(mirror, manager.mac)
+    assert report.ok
+    assert report.repairs == 1
+    assert report.mac_verifications == 6
+    assert tags[0] == 3
 
 
 @pytest.mark.parametrize("corrupt", [bitflip, tear])
@@ -201,6 +241,19 @@ def test_keyspace_scrub_repairs_each_config(label, config, corrupt):
         assert (
             mirror.replicas[1].read(blob) == mirror.replicas[0].read(blob)
         ), blob
+
+
+def test_a_clean_keyspace_pass_macs_each_distinct_copy_once(monkeypatch):
+    # Manifest, two checkpoints and the one journal holding a record:
+    # four MACs for fifteen copies checked, (1 + 2 * shards) * replicas.
+    label, config = default_campaign_configs()[4]
+    mirror = mirror3()
+    _, chain = seeded_keyspace(mirror, config)
+    tags = count_tags(monkeypatch)
+    report = scrub_keyspace(mirror, chain)
+    assert report.ok and report.repairs == 0
+    assert report.mac_verifications == 15
+    assert tags[0] == 4
 
 
 def test_keyspace_scrub_survives_a_rotation_epoch_mix():
