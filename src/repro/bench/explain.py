@@ -21,6 +21,7 @@ from repro.bench.scenarios import (
     supports_typed_reads,
 )
 from repro.core.encrypted_db import EncryptionConfig
+from repro.engine.codec import uncached_index_entries
 from repro.engine.query import PointQuery, RangeQuery
 from repro.observability.profile import (
     QueryProfile,
@@ -59,6 +60,8 @@ def trace_scenario(
     every captured trace roots at a ``query.*`` span, but the codecs are
     built with observability already enabled — the instrumented
     primitives are what attach measured and predicted cipher costs.
+    No index entry is remembered between decodes, so each query pays
+    the paper's full per-query cost.
     """
     if scenario not in EXPLAIN_SCENARIOS:
         raise ValueError(f"unknown explain scenario {scenario!r}")
@@ -69,21 +72,22 @@ def trace_scenario(
     was_enabled = observability.enabled()
     observability.enable()
     try:
-        observability.reset()
-        db = _populated_db(config, _ROWS, with_indexes=True)
-        observability.reset()  # drop construction spans, keep instrumented codecs
-        if scenario == "point_query":
-            for i in range(_QUERIES):
-                PointQuery("records", "id", i % _ROWS).execute(db)
-        else:
-            half = max(1, _ROWS // 2)
-            for i in range(_QUERIES):
-                low = i % half
-                RangeQuery("records", "id", low, low + half - 1).execute(db)
-        spans = TRACER.finished()
-        return ExplainResult(
-            scenario, label, profiles=build_query_profiles(spans), spans=spans
-        )
+        with uncached_index_entries():
+            observability.reset()
+            db = _populated_db(config, _ROWS, with_indexes=True)
+            observability.reset()  # drop construction spans, keep instrumented codecs
+            if scenario == "point_query":
+                for i in range(_QUERIES):
+                    PointQuery("records", "id", i % _ROWS).execute(db)
+            else:
+                half = max(1, _ROWS // 2)
+                for i in range(_QUERIES):
+                    low = i % half
+                    RangeQuery("records", "id", low, low + half - 1).execute(db)
+            spans = TRACER.finished()
+            return ExplainResult(
+                scenario, label, profiles=build_query_profiles(spans), spans=spans
+            )
     finally:
         observability.reset()
         if not was_enabled:

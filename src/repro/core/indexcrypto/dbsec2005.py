@@ -153,11 +153,13 @@ class DBSec2005IndexCodec(IndexEntryCodec):
     def decode(self, payload: bytes, refs: EntryRefs) -> tuple[bytes, int | None]:
         return self._decode(payload, refs, verify=True)
 
-    def decode_for_query(
-        self, payload: bytes, refs: EntryRefs, at_leaf: bool
-    ) -> tuple[bytes, int | None]:
+    def verifies_at_query(self, at_leaf: bool) -> bool:
         # Footnote 1: the published pseudo-code checks inner nodes during
         # the tree-walk but forgets the leaf level.  "Both bugs can be
         # easily fixed" — set faithful_leaf_bug=False for the fixed code.
-        verify = not (at_leaf and self.faithful_leaf_bug)
-        return self._decode(payload, refs, verify=verify)
+        return not (at_leaf and self.faithful_leaf_bug)
+
+    def decode_for_query(
+        self, payload: bytes, refs: EntryRefs, at_leaf: bool
+    ) -> tuple[bytes, int | None]:
+        return self._decode(payload, refs, verify=self.verifies_at_query(at_leaf))

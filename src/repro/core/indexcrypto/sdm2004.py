@@ -51,6 +51,12 @@ class SDM2004IndexCodec(IndexEntryCodec):
     def encode(self, key: bytes, table_row: int | None, refs: EntryRefs) -> bytes:
         return self._mode.encrypt(self.plaintext_for(key, table_row, refs))
 
+    def logical(
+        self, key: bytes, table_row: int | None, refs: EntryRefs
+    ) -> tuple[bytes, int | None]:
+        # Inner entries store no table row (eq. 4).
+        return key, table_row if refs.is_leaf else None
+
     def decode(self, payload: bytes, refs: EntryRefs) -> tuple[bytes, int | None]:
         plaintext = self._mode.decrypt(payload)
         if len(plaintext) < _ROW_WIDTH:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.engine.codec import EntryRefs, IndexEntryCodec
+from repro.engine.codec import EntryRefs, IndexEntryCodec, VerifiedEntries
 from repro.errors import IndexCorruptionError, NoSuchRowError
 from repro.observability.audit import AUDIT as _AUDIT
 from repro.observability.metrics import REGISTRY as _METRICS
@@ -85,6 +85,15 @@ class BPlusTree:
 
     # -- plumbing ----------------------------------------------------------
 
+    @property
+    def codec(self) -> IndexEntryCodec:
+        return self._verified.codec
+
+    @codec.setter
+    def codec(self, codec: IndexEntryCodec) -> None:
+        # Nothing verified under the old codec's key carries over.
+        self._verified = VerifiedEntries(codec)
+
     def _new_node(self, is_leaf: bool) -> BNode:
         node = BNode(node_id=self._next_node, is_leaf=is_leaf)
         self._next_node += 1
@@ -127,12 +136,14 @@ class BPlusTree:
         )
 
     def _decode_slot(self, node: BNode, slot: int) -> tuple[bytes, int | None]:
-        return self.codec.decode(node.entries[slot].payload, self.entry_refs(node, slot))
+        return self._verified.decode(
+            node.entries[slot].payload, self.entry_refs(node, slot)
+        )
 
     def _decode_slot_query(
         self, node: BNode, slot: int
     ) -> tuple[bytes, int | None]:
-        return self.codec.decode_for_query(
+        return self._verified.decode_for_query(
             node.entries[slot].payload, self.entry_refs(node, slot), node.is_leaf
         )
 
@@ -145,7 +156,7 @@ class BPlusTree:
     def _encode_node(self, node: BNode, logicals: list[_Logical]) -> None:
         node.entries = [BEntry(item.row_id, b"") for item in logicals]
         for slot, item in enumerate(logicals):
-            node.entries[slot].payload = self.codec.encode(
+            node.entries[slot].payload = self._verified.encode(
                 item.key, item.table_row, self.entry_refs(node, slot)
             )
 
@@ -249,7 +260,13 @@ class BPlusTree:
         """
         path: list[tuple[BNode, int]] = []
         node = self._nodes[self._root]
+        seen: set[int] = set()
         while not node.is_leaf:
+            if node.node_id in seen:
+                raise IndexCorruptionError(
+                    f"cycle through inner node {node.node_id}"
+                )
+            seen.add(node.node_id)
             position = len(node.entries)
             for slot in range(len(node.entries)):
                 sep_key, _ = self._decode_slot(node, slot)
@@ -537,7 +554,13 @@ class BPlusTree:
         """Root-to-leaf path length in edges (uniform by construction)."""
         height = 0
         node = self._nodes[self._root]
+        seen: set[int] = set()
         while not node.is_leaf:
+            if node.node_id in seen:
+                raise IndexCorruptionError(
+                    f"cycle through inner node {node.node_id}"
+                )
+            seen.add(node.node_id)
             height += 1
             node = self._nodes[node.children[0]]
         return height

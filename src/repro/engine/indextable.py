@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.engine.codec import EntryRefs, IndexEntryCodec
+from repro.engine.codec import EntryRefs, IndexEntryCodec, VerifiedEntries
 from repro.errors import IndexCorruptionError, NoSuchRowError
 from repro.observability.audit import AUDIT as _AUDIT
 from repro.observability.metrics import REGISTRY as _METRICS
@@ -81,6 +81,15 @@ class IndexTable:
         #: ("observation of access patterns", paper §3.2).
         self.observer = None
 
+    @property
+    def codec(self) -> IndexEntryCodec:
+        return self._verified.codec
+
+    @codec.setter
+    def codec(self, codec: IndexEntryCodec) -> None:
+        # Nothing verified under the old codec's key carries over.
+        self._verified = VerifiedEntries(codec)
+
     # -- construction ---------------------------------------------------------
 
     def _new_row(self, is_leaf: bool) -> IndexRow:
@@ -90,7 +99,7 @@ class IndexTable:
         return row
 
     def _encode_into(self, row: IndexRow, key: bytes, table_row: int | None) -> None:
-        row.payload = self.codec.encode(
+        row.payload = self._verified.encode(
             key, table_row, row.refs(self.index_table_id)
         )
 
@@ -347,14 +356,22 @@ class IndexTable:
 
     def height(self) -> int:
         """Longest root-to-leaf path length (edges)."""
-        def depth(row_id: int) -> int:
-            row = self._rows[row_id]
-            if row.is_leaf:
-                return 0
-            return 1 + max(depth(row.left), depth(row.right))
         if self._root == NO_REF:
             return 0
-        return depth(self._root)
+        height = 0
+        seen: set[int] = set()
+        pending = [(self._root, 0)]
+        while pending:
+            row_id, depth = pending.pop()
+            if row_id in seen:
+                raise IndexCorruptionError(f"cycle through inner row {row_id}")
+            seen.add(row_id)
+            row = self._rows[row_id]
+            if row.is_leaf:
+                height = max(height, depth)
+            else:
+                pending += [(row.left, depth + 1), (row.right, depth + 1)]
+        return height
 
     # -- internals -------------------------------------------------------------
 
@@ -365,10 +382,10 @@ class IndexTable:
             raise NoSuchRowError(f"index has no row {row_id}") from None
 
     def _decode(self, row: IndexRow) -> tuple[bytes, int | None]:
-        return self.codec.decode(row.payload, row.refs(self.index_table_id))
+        return self._verified.decode(row.payload, row.refs(self.index_table_id))
 
     def _decode_query(self, row: IndexRow, at_leaf: bool) -> tuple[bytes, int | None]:
-        return self.codec.decode_for_query(
+        return self._verified.decode_for_query(
             row.payload, row.refs(self.index_table_id), at_leaf
         )
 

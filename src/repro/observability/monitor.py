@@ -198,6 +198,7 @@ def run_monitor(
     the JSON-ready health document (see :func:`validate_health_report`).
     """
     from repro import observability
+    from repro.engine.codec import uncached_index_entries
 
     scenarios = monitor_scenarios()
     if scenario not in scenarios:
@@ -255,10 +256,14 @@ def run_monitor(
                 AUDIT.subscribe(leakmon.feed)
                 AUDIT.enable(timestamps=False)
             try:
+                # Sample the paper's cold per-query cost: no index entry
+                # is remembered between decodes.
                 if scenario == CAMPAIGN_SCENARIO:
-                    outcome = _run_campaign(label, config, quick, limit)
+                    with uncached_index_entries():
+                        outcome = _run_campaign(label, config, quick, limit)
                 else:
-                    result = _run_bench_scenario(scenario, label, config, quick)
+                    with uncached_index_entries():
+                        result = _run_bench_scenario(scenario, label, config, quick)
                     if result is None:
                         config_reports.append(
                             {

@@ -41,7 +41,6 @@ from repro.observability.flightrecorder import RECORDER
 from repro.observability.timeseries import HUB
 from repro.mac.base import MAC
 
-from repro.durability.vdisk import VirtualDisk
 from repro.durability.wal import (
     CHECKPOINT_BLOB,
     JOURNAL_BLOB,

@@ -6,11 +6,14 @@ are pinned in tests/observability/test_profile.py), and the per-kind
 names in the audit stream and the ``db.query.<op>`` metrics.
 """
 
+import contextlib
+
 import pytest
 
 from repro import observability
 from repro.bench.scenarios import _populated_db
 from repro.core.encrypted_db import EncryptionConfig
+from repro.engine.codec import uncached_index_entries
 from repro.engine.query import (
     AtLeastQuery,
     AtMostQuery,
@@ -38,7 +41,7 @@ def _global_observability():
 
 
 #: Measured blockcipher calls of the prefix, at_least and at_most queries
-#: below on the 8-row indexed scenario database.
+#: below on the 8-row indexed scenario database, every entry decoded.
 _CIPHER_CALLS = {
     "plaintext baseline": (0, 0, 0),
     "[3] Append-Scheme": (28, 49, 41),
@@ -47,16 +50,23 @@ _CIPHER_CALLS = {
     "fixed AEAD (OCB)": (63, 108, 84),
 }
 
+#: The same queries with the index entries the build just encoded still
+#: remembered: only the cell decrypts remain.
+_WARM_CIPHER_CALLS = {
+    "plaintext baseline": (0, 0, 0),
+    "[3] Append-Scheme": (11, 33, 33),
+    "[12] index (+append cells)": (11, 33, 33),
+    "fixed AEAD (EAX)": (25, 75, 75),
+    "fixed AEAD (OCB)": (20, 60, 60),
+}
+
 _CONFIGS = [
     (label, config) for label, config in default_campaign_configs()
     if label != "[3] XOR-Scheme"  # no typed reads, as in test_profile.py
 ]
 
 
-@pytest.mark.parametrize(
-    "label, config", _CONFIGS, ids=[label for label, _ in _CONFIGS]
-)
-def test_prefix_and_open_bound_queries_match_sect4_predictions(label, config):
+def _three_query_cipher_calls(config, scope):
     observability.enable()
     db = _populated_db(config, 8, with_indexes=True)
     observability.reset()  # keep the instrumented codecs, drop build spans
@@ -65,14 +75,33 @@ def test_prefix_and_open_bound_queries_match_sect4_predictions(label, config):
         AtLeastQuery("records", "id", 5),
         AtMostQuery("records", "id", 2),
     ]
-    assert [len(query.execute(db)) for query in queries] == [1, 3, 3]
+    with scope:
+        assert [len(query.execute(db)) for query in queries] == [1, 3, 3]
     profiles = build_query_profiles(TRACER.finished())
     assert [profile.name for profile in profiles] == [
         "query.prefix", "query.at_least", "query.at_most",
     ]
     for profile in profiles:
         assert profile.formula_check()["ok"], profile.formula_check()
-    assert tuple(profile.cipher_calls for profile in profiles) == _CIPHER_CALLS[label]
+    return tuple(profile.cipher_calls for profile in profiles)
+
+
+@pytest.mark.parametrize(
+    "label, config", _CONFIGS, ids=[label for label, _ in _CONFIGS]
+)
+def test_prefix_and_open_bound_queries_match_sect4_predictions(label, config):
+    calls = _three_query_cipher_calls(config, uncached_index_entries())
+    assert calls == _CIPHER_CALLS[label]
+    assert "index.entry_cache.hits" not in observability.REGISTRY.counters()
+
+
+@pytest.mark.parametrize(
+    "label, config", _CONFIGS, ids=[label for label, _ in _CONFIGS]
+)
+def test_remembered_index_entries_leave_only_cell_decrypts(label, config):
+    calls = _three_query_cipher_calls(config, contextlib.nullcontext())
+    assert calls == _WARM_CIPHER_CALLS[label]
+    assert observability.REGISTRY.counters()["index.entry_cache.hits"] > 0
 
 
 _KINDS = [
