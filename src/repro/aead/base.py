@@ -52,7 +52,7 @@ class AEAD(ABC):
         with identical per-item blockcipher invocation counts — batching
         amortizes wall-clock overhead, never the Sect. 4 cost model.  This
         default *is* the sequential loop; schemes with batchable structure
-        (EAX, OCB ⊕ PMAC) override it.
+        (OCB ⊕ PMAC) override it.
         """
         return [
             self.encrypt(nonce, plaintext, header)

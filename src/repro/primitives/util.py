@@ -19,12 +19,11 @@ def xor_bytes(x: bytes, y: bytes) -> bytes:
     the shorter one is implicitly padded with zero bytes, so the result is
     always ``max(len(x), len(y))`` bytes long.
     """
-    if len(x) < len(y):
-        x, y = y, x
-    out = bytearray(x)
-    for i, b in enumerate(y):
-        out[i] ^= b
-    return bytes(out)
+    size = max(len(x), len(y))
+    # Right-padding with zero octets is a left shift of the integer.
+    left = int.from_bytes(x, "big") << 8 * (size - len(x))
+    right = int.from_bytes(y, "big") << 8 * (size - len(y))
+    return (left ^ right).to_bytes(size, "big")
 
 
 def xor_bytes_strict(x: bytes, y: bytes) -> bytes:
@@ -37,7 +36,7 @@ def xor_bytes_strict(x: bytes, y: bytes) -> bytes:
         raise ValueError(
             f"strict xor requires equal lengths, got {len(x)} and {len(y)}"
         )
-    return bytes(a ^ b for a, b in zip(x, y))
+    return (int.from_bytes(x, "big") ^ int.from_bytes(y, "big")).to_bytes(len(x), "big")
 
 
 def split_blocks(data: bytes, block_size: int) -> list[bytes]:
