@@ -35,7 +35,7 @@ class BlockCipher(ABC):
         """Encrypt a batch of independent blocks.
 
         Byte-for-byte equal to ``[self.encrypt_block(b) for b in blocks]``;
-        this default *is* that loop.  Optimized backends override it to
+        this default *is* that loop.  Subclasses may override it to
         amortize per-call overhead.  Each element of the batch still counts
         as one blockcipher invocation in the paper's Sect. 4 cost model —
         batching changes wall-clock time, never the invocation count.
