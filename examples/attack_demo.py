@@ -17,6 +17,7 @@ from repro.attacks import (
     evaluate_substitution,
     find_partial_collisions,
     running_row_addresses,
+    true_index_links,
 )
 from repro.core import EncryptedDatabase, EncryptionConfig, ascii_validator
 from repro.engine import Column, ColumnType, TableSchema
@@ -25,17 +26,6 @@ from repro.workloads import build_documents_db, default_rng, single_block_ascii
 
 def banner(text: str) -> None:
     print(f"\n{'-' * 68}\n{text}\n{'-' * 68}")
-
-
-def ground_truth_links(index):
-    links = {}
-    for row in index.raw_rows():
-        if row.is_leaf and not row.deleted:
-            _, table_row = index.codec.decode(
-                row.payload, row.refs(index.index_table_id)
-            )
-            links[row.row_id] = table_row
-    return links
 
 
 def main() -> None:
@@ -56,7 +46,7 @@ def main() -> None:
     index = broken.index("documents_by_body").structure
     print(evaluate_index_linkage(
         storage, "documents_by_body", "documents", 1,
-        ground_truth_links(index), "sdm2004",
+        true_index_links(index), "sdm2004",
     ))
 
     banner("Victim 2: XOR-Scheme with ASCII redundancy (the paper's experiment)")
@@ -86,7 +76,7 @@ def main() -> None:
     index = dbsec.index("documents_by_body").structure
     print(evaluate_index_linkage(
         dbsec.storage_view(), "documents_by_body", "documents", 1,
-        ground_truth_links(index), "dbsec2005",
+        true_index_links(index), "dbsec2005",
     ))
     print(evaluate_mac_interaction(index, 64, "dbsec2005"))
 

@@ -206,6 +206,7 @@ def _attacks(args: argparse.Namespace) -> int:
         evaluate_index_linkage,
         evaluate_mac_interaction,
         evaluate_pattern_matching,
+        true_index_links,
     )
     from repro.core.encrypted_db import EncryptionConfig
     from repro.workloads.datasets import build_documents_db
@@ -224,18 +225,12 @@ def _attacks(args: argparse.Namespace) -> int:
         db = build_documents_db(config, rows=rows, groups=groups)
         storage = db.storage_view()
         index = db.index("documents_by_body").structure
-        truth = {}
-        for entry in index.raw_rows():
-            if entry.is_leaf and not entry.deleted:
-                _, table_row = index.codec.decode(
-                    entry.payload, entry.refs(index.index_table_id)
-                )
-                truth[entry.row_id] = table_row
         outcomes = [
             evaluate_pattern_matching(storage, "documents", 1, pairs, label),
             evaluate_append_forgery(db, storage, "documents", 1, "body", 64, label),
             evaluate_index_linkage(
-                storage, "documents_by_body", "documents", 1, truth, label
+                storage, "documents_by_body", "documents", 1,
+                true_index_links(index), label,
             ),
         ]
         if config.index_scheme == "dbsec2005":

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from repro.attacks.access_pattern import evaluate_access_pattern_linking
 from repro.attacks.forgery import evaluate_append_forgery
 from repro.attacks.frequency import evaluate_frequency_attack
-from repro.attacks.index_linkage import evaluate_index_linkage
+from repro.attacks.index_linkage import evaluate_index_linkage, true_index_links
 from repro.attacks.pattern_matching import evaluate_pattern_matching
 from repro.core.encrypted_db import EncryptedDatabase, EncryptionConfig
 from repro.engine.schema import Column, ColumnType, TableSchema
@@ -121,16 +121,9 @@ def profile_configuration(
     )
     profile.results["frequency"] = frequency.succeeded
 
-    index = db.index("profile_v").structure
-    truth_links = {}
-    for entry in index.raw_rows():
-        if entry.is_leaf and not entry.deleted:
-            _, table_row = index.codec.decode(
-                entry.payload, entry.refs(index.index_table_id)
-            )
-            truth_links[entry.row_id] = table_row
     linkage = evaluate_index_linkage(
-        storage, "profile_v", "profile", 0, truth_links, profile.config_label
+        storage, "profile_v", "profile", 0,
+        true_index_links(db.index("profile_v").structure), profile.config_label,
     )
     profile.results["index_linkage"] = linkage.succeeded
 

@@ -44,6 +44,7 @@ from repro.attacks.index_linkage import (
     evaluate_index_linkage,
     find_index_table_links,
     recover_ordering,
+    true_index_links,
 )
 from repro.attacks.mac_interaction import (
     InteractionForgeryResult,
@@ -111,4 +112,5 @@ __all__ = [
     "replaceable_blocks",
     "running_row_addresses",
     "tamper_game",
+    "true_index_links",
 ]

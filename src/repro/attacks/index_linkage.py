@@ -74,6 +74,17 @@ def find_index_table_links(
     return claims
 
 
+def true_index_links(structure) -> dict[int, int]:
+    """r_I → table row r of every live leaf entry, decoded under the
+    index's key: the ground truth linkage claims are scored against.
+    The experiment holds the key; the adversary never calls this."""
+    return {
+        refs.row_id: structure.codec.decode(entry.payload, refs)[1]
+        for refs, entry in structure.entries()
+        if refs.is_leaf and not entry.deleted
+    }
+
+
 def evaluate_index_linkage(
     storage: StorageView,
     index_name: str,
@@ -180,7 +191,7 @@ def recover_ordering(
                     ordered.append(links[current])
                 current = leaves[current].sibling
     else:
-        for _, _, entry in structure.raw_entries():
+        for _, entry in structure.entries():
             if entry.row_id in links:
                 ordered.append(links[entry.row_id])
     return OrderingLeak(ordered)

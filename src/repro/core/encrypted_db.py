@@ -343,15 +343,10 @@ class StorageView:
         return self._db.index(index_name).structure
 
     def index_payloads(self, index_name: str) -> list[tuple[int, bytes]]:
-        """(r_I, stored payload) for every index entry."""
+        """(r_I, stored payload) for every index entry but tombstones."""
         structure = self._db.index(index_name).structure
-        if hasattr(structure, "raw_rows"):
-            return [
-                (row.row_id, row.payload)
-                for row in structure.raw_rows()
-                if not row.deleted
-            ]
         return [
-            (entry.row_id, entry.payload)
-            for _, _, entry in structure.raw_entries()
+            (refs.row_id, entry.payload)
+            for refs, entry in structure.entries()
+            if not entry.deleted
         ]

@@ -16,7 +16,7 @@ stays in plaintext, exactly as in the paper's schemes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 from repro.engine.codec import EntryRefs, IndexEntryCodec, VerifiedEntries
 from repro.errors import IndexCorruptionError, NoSuchRowError
@@ -37,6 +37,8 @@ class BEntry:
 
     row_id: int
     payload: bytes
+    #: A B⁺-tree delete removes the entry; nothing is ever tombstoned.
+    deleted: ClassVar[bool] = False
 
 
 @dataclass
@@ -582,6 +584,11 @@ class BPlusTree:
             node = self._nodes[node_id]
             for slot, entry in enumerate(node.entries):
                 yield node_id, slot, entry
+
+    def entries(self) -> Iterator[tuple[EntryRefs, BEntry]]:
+        """Every stored entry with its refs, nodes by id, then slot."""
+        for node_id, slot, entry in self.raw_entries():
+            yield self.entry_refs(self._nodes[node_id], slot), entry
 
     def tamper(self, node_id: int, slot: int, payload: bytes) -> None:
         """Overwrite one stored payload (storage-level adversary)."""

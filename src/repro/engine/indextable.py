@@ -330,6 +330,12 @@ class IndexTable:
         for row_id in sorted(self._rows):
             yield self._rows[row_id]
 
+    def entries(self) -> Iterator[tuple[EntryRefs, IndexRow]]:
+        """Every stored entry with its refs, tombstones included, by row
+        id: what a walk over all payloads (re-keying, say) must visit."""
+        for row in self.raw_rows():
+            yield row.refs(self.index_table_id), row
+
     def raw_payload(self, row_id: int) -> bytes:
         return self._row(row_id).payload
 

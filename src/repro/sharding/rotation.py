@@ -1,8 +1,11 @@
 """The crash-safe, per-shard key-rotation state machine.
 
-Unlike the in-place :func:`repro.core.rotation.rotate_master_key`
-(atomic against exceptions, fatal under a power cut), this machine never
-overwrites a byte the old epoch still needs.  Protocol, per shard:
+Both rotations re-encrypt a clone through the one walk of
+:mod:`repro.core.rotation`.  :func:`~repro.core.rotation.rotate_master_key`
+swaps the finished clone into a live database and writes nothing
+durable; this machine journals every step and never overwrites a byte
+the old epoch still needs, so a power cut at any point recovers to one
+epoch or the other.  Protocol, per shard:
 
 1. **fold** — ``manager.checkpoint()``: the old-epoch WAL is now empty,
    so every later WAL record is a rotation marker;
@@ -35,16 +38,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.core.keys import KeyChain
-from repro.engine.btree import BPlusTree
-from repro.engine.database import Database
-from repro.engine.indextable import IndexTable
-from repro.engine.storage import (
-    _Reader,
-    _write_int,
-    _write_text,
-    dump_database,
-    load_database,
-)
+from repro.core.rotation import clone_under, reencrypt
+from repro.engine.storage import _Reader, _write_int, _write_text, dump_database
 from repro.errors import StorageFormatError
 from repro.observability.audit import AUDIT
 from repro.observability.timeseries import HUB
@@ -91,74 +86,6 @@ def _encode_progress(stage: str, count: int) -> bytes:
     _write_text(out, stage)
     _write_int(out, count)
     return out.getvalue()
-
-
-def _reencrypt_cells(clone: Database, old_codec, new_codec) -> Iterator[tuple[str, int]]:
-    """Rewrite every sensitive cell of ``clone`` (old ciphertexts loaded
-    from the image) under the new codec; yields (table, cells) per table."""
-    for table_name in clone.table_names:
-        table = clone.table(table_name)
-        sensitive = [
-            position
-            for position, column in enumerate(table.schema.columns)
-            if column.sensitive
-        ]
-        # Collect the whole table, then fold through the batch codec APIs:
-        # one decode_cells/encode_cells pair per table amortizes key
-        # schedules and mode precomputation across every cell.  Scan
-        # order × sensitive-column order matches the sequential loop, so
-        # nonce/IV draws (and therefore bytes) are identical.
-        targets: list[tuple[int, int]] = []
-        stored: list[tuple[bytes, object]] = []
-        for row_id, stored_cells in table.scan():
-            for position in sensitive:
-                address = table.address(row_id, position)
-                targets.append((row_id, position))
-                stored.append((stored_cells[position], address))
-        plaintexts = old_codec.decode_cells(stored)
-        fresh = new_codec.encode_cells(
-            [
-                (plaintext, address)
-                for plaintext, (_, address) in zip(plaintexts, stored)
-            ]
-        )
-        for (row_id, position), encoded in zip(targets, fresh):
-            table.set_cell(row_id, position, encoded)
-        yield table_name, len(targets)
-
-
-def _reencrypt_index(clone: Database, index_name: str, old_enc) -> int:
-    """Re-encode one index's payloads: decode under the *old* epoch's
-    codec, encode under the structure's (already new-epoch) codec."""
-    info = clone.index(index_name)
-    table = clone.table(info.table)
-    column_pos = table.schema.column_index(info.column)
-    structure = info.structure
-    old_codec = old_enc._build_index_codec(
-        structure.index_table_id, table.table_id, column_pos
-    )
-    new_codec = structure.codec
-
-    count = 0
-    if isinstance(structure, IndexTable):
-        for row in structure.raw_rows():
-            if row.deleted:
-                continue
-            refs = row.refs(structure.index_table_id)
-            key, table_row = old_codec.decode(row.payload, refs)
-            row.payload = new_codec.encode(key, table_row, refs)
-            count += 1
-    elif isinstance(structure, BPlusTree):
-        for node_id in sorted(structure._nodes):
-            node = structure.node(node_id)
-            for slot, entry in enumerate(node.entries):
-                refs = structure.entry_refs(node, slot)
-                key, table_row = old_codec.decode(entry.payload, refs)
-                entry.payload = new_codec.encode(key, table_row, refs)
-                count += 1
-    else:  # pragma: no cover - no other structures exist
-        raise TypeError(f"unknown index structure {type(structure)!r}")
-    return count
 
 
 class ShardRotation:
@@ -232,26 +159,16 @@ class ShardRotation:
         new_enc, new_mac = shard_crypto(
             self.chain, shard.shard_id, self.to_epoch, shard.config
         )
-        clone = load_database(
-            dump_database(manager.database),
-            cell_codec=new_enc.cell_codec,
-            index_codec_factory=new_enc._build_index_codec,
-        )
-        for table_name, count in _reencrypt_cells(
-            clone, shard.enc.cell_codec, new_enc.cell_codec
-        ):
-            self.cells += count
+        clone = clone_under(manager.database, new_enc)
+        for kind, name, count in reencrypt(clone, shard.enc):
+            if kind == "table":
+                self.cells += count
+            else:
+                self.entries += count
             manager.commit_record(
-                OP_ROTATE_PROGRESS, _encode_progress(f"table:{table_name}", count)
+                OP_ROTATE_PROGRESS, _encode_progress(f"{kind}:{name}", count)
             )
-            yield f"reencrypted table {table_name}"
-        for index_name in clone.index_names:
-            count = _reencrypt_index(clone, index_name, shard.enc)
-            self.entries += count
-            manager.commit_record(
-                OP_ROTATE_PROGRESS, _encode_progress(f"index:{index_name}", count)
-            )
-            yield f"reencrypted index {index_name}"
+            yield f"reencrypted {kind} {name}"
 
         generation = manager.generation + 1
         commit_seq = manager.last_seq + 1  # the commit record's seq

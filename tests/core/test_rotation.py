@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.encrypted_db import EncryptedDatabase, EncryptionConfig
 from repro.core.rotation import rotate_master_key
+from repro.engine.codec import IndexEntryCodec
+from repro.engine.database import CellCodec
 from repro.engine.query import PointQuery, RangeQuery
 from repro.engine.schema import Column, ColumnType, TableSchema
 from repro.errors import AuthenticationError, CryptoError, SessionError
@@ -121,7 +123,7 @@ def test_double_rotation():
 # -- exception safety ----------------------------------------------------------
 
 
-class _ExplodingCellCodec:
+class _ExplodingCellCodec(CellCodec):
     """Wraps a real cell codec; encoding blows up after ``fuse`` calls."""
 
     def __init__(self, inner, fuse: int) -> None:
@@ -138,7 +140,7 @@ class _ExplodingCellCodec:
         return self._inner.decode_cell(stored, address)
 
 
-class _ExplodingIndexCodec:
+class _ExplodingIndexCodec(IndexEntryCodec):
     """Wraps a real index codec; encoding blows up after ``fuse`` calls."""
 
     def __init__(self, inner, fuse: list) -> None:
