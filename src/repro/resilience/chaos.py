@@ -24,8 +24,7 @@ through a seeded schedule interleaving
 Crashes land *between* logical operations; the per-write-boundary
 interleavings inside one operation remain the crash campaign's job.
 
-The invariants asserted per configuration, mirroring the PR's
-acceptance criteria:
+The invariants asserted per configuration:
 
 1. **no acknowledged commit is ever lost** — after every remount the
    keyspace holds every acknowledged row (and, for round-tripping
@@ -35,11 +34,18 @@ acceptance criteria:
 3. **every repairable corruption is repaired** — scrubs report zero
    unrepairable blobs, and at the end of the run all replicas hold
    byte-identical state.
+
+A forced tail closes every run: a rollback (after one checkpoint when
+nothing advanced since the last snapshot, so an older state exists) and
+a corruption if the schedule drew none, then a scrub, a crash and the
+final checks.  ``tests/resilience/test_chaos_machine.py`` drives the
+same events from a hypothesis state machine, so a failing schedule
+shrinks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.encrypted_db import EncryptionConfig
 from repro.core.keys import KeyChain
@@ -59,7 +65,7 @@ from repro.resilience.anchor import MemoryAnchor
 from repro.resilience.replica import MirroredDisk
 from repro.resilience.scrub import scrub_keyspace
 from repro.robustness.campaign import default_campaign_configs
-from repro.robustness.reporting import format_detection_matrix
+from repro.robustness.reporting import CampaignMatrix, ConfigOutcome
 from repro.sharding.campaign import _seed_keyspace
 from repro.sharding.keyspace import ShardedKeyspace
 
@@ -91,10 +97,21 @@ _CORRUPTIBLE_SUFFIXES = ("checkpoint", "wal", "manifest", "checkpoint.next")
 
 
 @dataclass
-class ConfigChaosResult:
+class ConfigChaosResult(ConfigOutcome):
     """Chaos outcome for one scheme configuration."""
 
-    config: str
+    COLUMNS = (
+        ("events", "events"),
+        ("acked", "inserts_acked"),
+        ("crashes", "crashes"),
+        ("corruptions", "corruptions"),
+        ("repairs", "repairs"),
+        ("rollbacks", "rollbacks_injected"),
+        ("detected", "rollbacks_detected"),
+        ("rotations", "rotations"),
+        ("scrubs", "scrubs"),
+    )
+
     events: int = 0
     inserts_acked: int = 0
     inserts_unacked: int = 0
@@ -106,59 +123,6 @@ class ConfigChaosResult:
     rotations: int = 0
     scrubs: int = 0
     flaky_failures: int = 0
-    violations: list[str] = field(default_factory=list)
-
-
-@dataclass
-class ChaosCampaignResult:
-    """The full campaign: one seeded run per configuration."""
-
-    seed: int
-    steps: int
-    shard_count: int
-    replicas: int
-    flaky: bool
-    per_config: list[ConfigChaosResult] = field(default_factory=list)
-
-    @property
-    def violations(self) -> list[str]:
-        return [v for result in self.per_config for v in result.violations]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def format_matrix(self) -> str:
-        wrappers = "flaky+retrying replicas" if self.flaky else "bare replicas"
-        return format_detection_matrix(
-            [
-                "events", "acked", "crashes", "corruptions", "repairs",
-                "rollbacks", "detected", "rotations", "scrubs", "violations",
-            ],
-            [
-                (
-                    result.config,
-                    [
-                        result.events,
-                        result.inserts_acked,
-                        result.crashes,
-                        result.corruptions,
-                        result.repairs,
-                        result.rollbacks_injected,
-                        result.rollbacks_detected,
-                        result.rotations,
-                        result.scrubs,
-                        len(result.violations),
-                    ],
-                )
-                for result in self.per_config
-            ],
-            caption=(
-                f"chaos campaign ({self.steps} scheduled events, seed "
-                f"{self.seed}, {self.replicas} {wrappers}, "
-                f"{self.shard_count} shards per configuration)"
-            ),
-        )
 
 
 class _ChaosRun:
@@ -461,6 +425,10 @@ class _ChaosRun:
         # draw produced no rollback or no corruption, inject one now so
         # every run proves detection and repair, not just survival.
         if self.result.rollbacks_injected == 0:
+            if all(marker >= self._progress() for marker, _ in self.history):
+                # Nothing advanced since the last snapshot: advance once,
+                # so the forced rollback has an older state to restore.
+                self.event_checkpoint()
             self.event_rollback()
         if self.result.corruptions == 0:
             self.event_corrupt()
@@ -500,7 +468,7 @@ def run_chaos_campaign(
     replicas: int = 3,
     flaky: bool = True,
     configs: list[tuple[str, EncryptionConfig]] | None = None,
-) -> ChaosCampaignResult:
+) -> CampaignMatrix:
     """Run the seeded chaos schedule once per configuration.
 
     ``steps`` scheduled events are drawn per configuration from the
@@ -513,18 +481,15 @@ def run_chaos_campaign(
     if replicas < 2:
         raise ValueError("a mirrored campaign needs at least two replicas")
     configs = configs if configs is not None else default_campaign_configs()
-    campaign = ChaosCampaignResult(
-        seed=seed,
-        steps=steps,
-        shard_count=shard_count,
-        replicas=replicas,
-        flaky=flaky,
+    wrappers = "flaky+retrying replicas" if flaky else "bare replicas"
+    campaign = CampaignMatrix(
+        ConfigChaosResult,
+        f"chaos campaign ({steps} scheduled events, seed {seed}, "
+        f"{replicas} {wrappers}, {shard_count} shards per configuration)",
     )
     for label, config in configs:
-        result = ConfigChaosResult(config=label)
-        rng = DeterministicRandom(
-            f"chaoscampaign-{seed}".encode()
-        ).fork(label)
+        result = campaign.add(label)
+        rng = DeterministicRandom(f"chaoscampaign-{seed}".encode()).fork(label)
         run = _ChaosRun(label, config, rng, shard_count, replicas, flaky, result)
         run.start()
         handlers = {
@@ -541,23 +506,14 @@ def run_chaos_campaign(
             result.events += 1
             handlers[_pick_event(rng)]()
         run.finish()
-        campaign.per_config.append(result)
         if HUB.enabled:
             HUB.tick()
-            labels = {"config": label}
-            HUB.record("chaos.acked", result.inserts_acked, labels=labels)
-            HUB.record("chaos.repairs", result.repairs, labels=labels)
-            HUB.record(
-                "chaos.rollbacks_injected",
-                result.rollbacks_injected,
-                labels=labels,
-            )
-            HUB.record(
-                "chaos.rollbacks_detected",
-                result.rollbacks_detected,
-                labels=labels,
-            )
-            HUB.record(
-                "chaos.violations", len(result.violations), labels=labels
-            )
+            for name, value in (
+                ("acked", result.inserts_acked),
+                ("repairs", result.repairs),
+                ("rollbacks_injected", result.rollbacks_injected),
+                ("rollbacks_detected", result.rollbacks_detected),
+                ("violations", len(result.violations)),
+            ):
+                HUB.record(f"chaos.{name}", value, labels={"config": label})
     return campaign

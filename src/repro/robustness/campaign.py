@@ -227,23 +227,27 @@ def _catalog(db: Database) -> dict:
     }
 
 
-def _snapshot(db: Database) -> dict:
-    """The verified observable content of a database: canonical cell
-    bytes per row plus every index's (key, row) pairs."""
+def logical_state(db: Database, include_indexes: bool = True) -> dict:
+    """The verified observable content of a database: decoded cells per
+    row plus, with ``include_indexes``, every index's sorted (key, row)
+    pairs."""
     tables = {}
     for name in db.table_names:
         table = db.table(name)
-        rows = {}
-        for row_id in table.row_ids:
-            rows[row_id] = tuple(
+        tables[name] = {
+            row_id: tuple(
                 db._plain_cell(table, row_id, position)
                 for position in range(len(table.schema.columns))
             )
-        tables[name] = rows
-    indexes = {
-        name: tuple(db.index(name).structure.items()) for name in db.index_names
-    }
-    return {"tables": tables, "indexes": indexes}
+            for row_id in table.row_ids
+        }
+    state = {"tables": tables}
+    if include_indexes:
+        state["indexes"] = {
+            name: tuple(sorted(db.index(name).structure.items()))
+            for name in db.index_names
+        }
+    return state
 
 
 def _classify(
@@ -283,7 +287,7 @@ def _classify(
         return DETECTED_STRUCTURAL
 
     try:
-        snapshot = _snapshot(db)
+        snapshot = logical_state(db)
     except CryptoError:
         return DETECTED_MAC
     except ReproError:
@@ -311,7 +315,7 @@ def run_campaign(
         image = dump_database(source_db)
         chart = map_image(image)
         catalog = _catalog(source_db)
-        baseline = _snapshot(source_db)
+        baseline = logical_state(source_db)
         counter: Counter = Counter()
         for seed in range(seeds):
             fault = plan_fault(chart, seed)

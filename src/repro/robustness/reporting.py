@@ -1,18 +1,17 @@
-"""Shared report formatting for the fault/crash/rotation/chaos campaigns.
+"""Shared result type and report formatting for the campaigns.
 
-Every campaign ends the same way: a per-configuration detection matrix
-(one row per scheme configuration, one column per counted outcome, a
-caption describing the sweep) plus, on failure, a violation listing.
-Before this module each campaign dataclass hand-rolled that layout;
-now they all call :func:`format_detection_matrix`, so the four CLIs
-(`faultcampaign`, `crashcampaign`, `repro rotate`'s sweep, and
-`chaoscampaign`) render identically and a new campaign gets the house
-style for free.
+Every campaign ends the same way: a per-configuration matrix (one row
+per scheme configuration, one column per counted outcome, a caption
+describing the sweep) plus, on failure, a violation listing.  The crash,
+rotation and chaos campaigns return a :class:`CampaignMatrix` of
+:class:`ConfigOutcome` rows; the fault campaign formats its outcome
+counters through :func:`format_detection_matrix` directly.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from dataclasses import dataclass, field
+from typing import Any, ClassVar, Sequence
 
 from repro.analysis.report import format_table
 
@@ -28,18 +27,56 @@ def format_detection_matrix(
     return format_table(["configuration", *columns], rows, caption=caption)
 
 
-def format_violations(violations: Sequence[str], limit: int = 20) -> str:
-    """The failure tail of a campaign report: every violation on its own
-    line, truncated past ``limit`` with an elision count."""
-    if not violations:
-        return ""
-    lines = [f"  - {violation}" for violation in violations[:limit]]
-    if len(violations) > limit:
-        lines.append(f"  ... and {len(violations) - limit} more")
-    return "\n".join([f"{len(violations)} violation(s):", *lines])
-
-
 def sweep_caption(kind: str, detail: str, limit: int | None = None) -> str:
     """The shared caption shape: ``<kind> (<detail>, <limit> ...)``."""
     bound = "exhaustive" if limit is None else f"limit {limit}"
     return f"{kind} ({detail}, {bound} crash points per configuration)"
+
+
+@dataclass
+class ConfigOutcome:
+    """One configuration's row of a campaign matrix.
+
+    Subclasses add their counters and name the matrix columns in
+    ``COLUMNS`` as ``(header, attribute)`` pairs; the violation count
+    closes every row."""
+
+    COLUMNS: ClassVar[tuple[tuple[str, str], ...]] = ()
+
+    config: str
+    violations: list[str] = field(default_factory=list)
+
+    def row(self) -> list:
+        return [getattr(self, name) for _, name in self.COLUMNS] + [
+            len(self.violations)
+        ]
+
+
+@dataclass
+class CampaignMatrix:
+    """A campaign's result: one ``outcome`` row per configuration."""
+
+    outcome: type[ConfigOutcome]
+    caption: str
+    per_config: list = field(default_factory=list)
+
+    def add(self, config: str) -> Any:
+        """Start the row of configuration ``config``."""
+        row = self.outcome(config=config)
+        self.per_config.append(row)
+        return row
+
+    @property
+    def violations(self) -> list[str]:
+        return [v for result in self.per_config for v in result.violations]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def format_matrix(self) -> str:
+        return format_detection_matrix(
+            [header for header, _ in self.outcome.COLUMNS] + ["violations"],
+            [(result.config, result.row()) for result in self.per_config],
+            caption=self.caption,
+        )

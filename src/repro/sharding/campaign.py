@@ -1,65 +1,51 @@
-"""The rotation crash campaign: power-cut every rotation write boundary.
+"""The key-rotation workload of the write-boundary crash sweep.
 
 The rotation protocol of :mod:`repro.sharding.rotation` claims one
 invariant — **epoch atomicity**: however the power dies mid-rotation, a
 remount recovers every shard to exactly the old or the new key epoch,
 never a mixture, with the cross-shard manifest verifying throughout.
-This module makes the claim exhaustively checkable, mirroring the
-mutation campaign of :mod:`repro.durability.crashcampaign`:
+:func:`run_rotation_campaign` checks it with the sweep of
+:mod:`repro.durability.crashcampaign`.  The workload seeds a keyspace
+(every shard's blobs and the manifest share one disk, so one op counter
+sees every write boundary), marks, and rotates it, marking after every
+protocol phase, so only the rotation's boundaries are swept.  A
+survivor remounts through the parallel keyspace recovery and reduces
+to its per-shard epoch and logical dump, manifest verdict, and (for
+round-tripping schemes) point and range answers.  Re-encryption under
+the new epoch is deterministic (seeded RNGs, counting nonces), so
+matching states match byte for byte.
 
-1. seed a keyspace and rotate it once crash-free on a pass-through
-   :class:`~repro.durability.vdisk.CrashDisk` (every shard's blobs and
-   the manifest share one disk, so one op counter sees every write
-   boundary), snapshotting at each protocol phase the state a remount
-   of the surviving bytes recovers to — per-shard epoch and logical
-   dump, manifest verdict, and (for round-tripping schemes) point and
-   range answers;
-2. re-run seed + rotation once per (rotation boundary, crash mode)
-   pair, catching the :class:`~repro.errors.PowerCutError`, remounting
-   the survivor through the parallel keyspace recovery, and asserting
-   the recovered state equals the snapshot just before or just after
-   the cut.
-
-Because both sides of the comparison go through the same remount
-pipeline, the oracle is exact even for randomized codecs: re-encryption
-under the new epoch is deterministic (seeded RNGs, counting nonces), so
-matching snapshots match byte-for-byte in their dumps.
-
-The reference run also checks the **online** half of the claim: at
+The reference pass also checks the **online** half of the claim: at
 every rotation phase boundary the live keyspace must answer the seeded
 point and range queries identically to the pre-rotation baseline —
 shards not currently rotating never notice a sibling's rotation.
-
-An audit-neutrality side-check rides along: the full seed + rotate
-leaves byte-identical disks with ``AUDIT`` enabled and disabled
-(``rotation.*`` events are pure observation).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.encrypted_db import EncryptionConfig
 from repro.core.keys import KeyChain
 from repro.engine.storage import dump_database
-from repro.errors import PowerCutError
-from repro.observability.audit import AUDIT
-from repro.observability.flightrecorder import RECORDER
 from repro.observability.timeseries import HUB
 from repro.robustness.campaign import default_campaign_configs
-from repro.robustness.reporting import format_detection_matrix, sweep_caption
+from repro.robustness.reporting import CampaignMatrix, sweep_caption
 
 from repro.durability.crashcampaign import (
     _CRASH_MASTER_KEY,
     _SCHEMA,
-    _crash_points,
+    _check_modes,
     _round_trips,
     _row_values,
     CRASH_MODES,
+    SweepOutcome,
+    SweepWorkload,
+    crash_free_bytes,
+    sweep,
 )
-from repro.durability.vdisk import BYTE_OPS, CrashDisk, CrashPlan, MemoryDisk
+from repro.durability.vdisk import MemoryDisk
 from repro.sharding.keyspace import ShardedKeyspace
 
 _ROTATED_MASTER_KEY = b"crashcampaign-rotated-key-765432"
@@ -88,270 +74,94 @@ def _query_answers(keyspace: ShardedKeyspace, rows: int) -> dict[str, Any]:
     return answers
 
 
-def _recovered_state(
-    survivor: MemoryDisk,
-    chain: KeyChain,
-    config: EncryptionConfig,
-    rows: int,
-    include_queries: bool,
-) -> tuple[dict[str, Any], ShardedKeyspace]:
-    """Remount the surviving bytes (parallel per-shard recovery) and
-    reduce the result to the comparable observable state."""
-    keyspace = ShardedKeyspace.open(survivor, chain, config)
-    state: dict[str, Any] = {
-        "manifest": keyspace.recovery.manifest,
-        "shards": tuple(
-            (shard.epoch, shard.degraded, dump_database(shard.manager.database))
-            for shard in keyspace.shards
-        ),
-    }
-    if include_queries:
-        state["queries"] = _query_answers(keyspace, rows)
-    return state, keyspace
-
-
 @dataclass
-class _RotationBoundary:
-    """Oracle entry: at ``ops`` boundaries a survivor remount recovers
-    exactly ``state`` (captured just after protocol phase ``label``)."""
-
-    label: str
-    ops: int
-    state: dict[str, Any]
-
-
-@dataclass
-class ConfigRotationResult:
+class ConfigRotationResult(SweepOutcome):
     """Rotation sweep outcome for one scheme configuration."""
 
-    config: str
-    rotation_boundaries: int = 0
-    trials: int = 0
-    recovered_pre: int = 0
-    recovered_post: int = 0
+    COLUMNS = SweepOutcome.COLUMNS + (
+        ("rollbacks", "rollbacks"),
+        ("rollforwards", "rollforwards"),
+    )
+
     rollbacks: int = 0
     rollforwards: int = 0
-    violations: list[str] = field(default_factory=list)
-
-
-@dataclass
-class RotationCampaignResult:
-    """The full rotation campaign: one sweep per configuration."""
-
-    rows: int
-    shard_count: int
-    limit: int | None
-    modes: tuple[str, ...]
-    per_config: list[ConfigRotationResult] = field(default_factory=list)
 
     @property
-    def violations(self) -> list[str]:
-        return [v for result in self.per_config for v in result.violations]
+    def rotation_boundaries(self) -> int:
+        """The rotation's write boundaries (seeding is not swept)."""
+        return self.boundaries
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
-    def format_matrix(self) -> str:
-        return format_detection_matrix(
-            [
-                "boundaries", "trials", "pre", "post",
-                "rollbacks", "rollforwards", "violations",
-            ],
-            [
-                (
-                    result.config,
-                    [
-                        result.rotation_boundaries,
-                        result.trials,
-                        result.recovered_pre,
-                        result.recovered_post,
-                        result.rollbacks,
-                        result.rollforwards,
-                        len(result.violations),
-                    ],
+class _RotationWorkload(SweepWorkload):
+    """Seed a keyspace, then rotate it to a second master key."""
+
+    via = "rotation-recovery"
+
+    def __init__(
+        self,
+        outcome: ConfigRotationResult,
+        config: EncryptionConfig,
+        rows: int,
+        shard_count: int,
+    ) -> None:
+        super().__init__(outcome)
+        self.config = config
+        self.rows = rows
+        self.shard_count = shard_count
+        self.include_queries = _round_trips(config, _CRASH_MASTER_KEY)
+        self.chain = KeyChain([_CRASH_MASTER_KEY, _ROTATED_MASTER_KEY])
+
+    def run(self, disk, mark=None) -> None:
+        keyspace = ShardedKeyspace.open(
+            disk, KeyChain.single(_CRASH_MASTER_KEY), self.config,
+            shard_count=self.shard_count, workers=1,
+        )
+        _seed_keyspace(keyspace, self.rows)
+        if mark is None:
+            keyspace.rotate(_ROTATED_MASTER_KEY)
+            return
+        baseline = (
+            _query_answers(keyspace, self.rows) if self.include_queries else None
+        )
+        mark("seeded")
+
+        def phase(shard_id: str, name: str) -> None:
+            label = f"{shard_id}:{name}"
+            mark(label)
+            if baseline is not None and _query_answers(keyspace, self.rows) != baseline:
+                self.violation(
+                    f"live keyspace answers changed at rotation phase "
+                    f"{label!r} — a sibling's rotation is visible"
                 )
-                for result in self.per_config
-            ],
-            caption=sweep_caption(
-                "key-rotation crash campaign",
-                f"{self.rows}-row workload, {self.shard_count} shards, "
-                f"modes {'/'.join(self.modes)}",
-                self.limit,
+
+        keyspace.rotate(_ROTATED_MASTER_KEY, on_phase=phase)
+
+    def recover(self, survivor: MemoryDisk) -> tuple[dict, ShardedKeyspace]:
+        keyspace = ShardedKeyspace.open(survivor, self.chain, self.config)
+        state: dict[str, Any] = {
+            "manifest": keyspace.recovery.manifest,
+            "shards": tuple(
+                (shard.epoch, shard.degraded, dump_database(shard.manager.database))
+                for shard in keyspace.shards
             ),
-        )
+        }
+        if self.include_queries:
+            state["queries"] = _query_answers(keyspace, self.rows)
+        return state, keyspace
 
-
-def _reference_rotation(
-    label: str,
-    config: EncryptionConfig,
-    rows: int,
-    shard_count: int,
-    result: ConfigRotationResult,
-) -> tuple[list[_RotationBoundary], list[str]]:
-    """Seed + rotate crash-free, snapshotting every phase boundary."""
-    include_queries = _round_trips(config, _CRASH_MASTER_KEY)
-    full_chain = KeyChain([_CRASH_MASTER_KEY, _ROTATED_MASTER_KEY])
-    disk = CrashDisk(MemoryDisk())
-    keyspace = ShardedKeyspace.open(
-        disk, KeyChain.single(_CRASH_MASTER_KEY), config,
-        shard_count=shard_count, workers=1,
-    )
-    _seed_keyspace(keyspace, rows)
-    baseline = _query_answers(keyspace, rows) if include_queries else None
-    snapshots: list[_RotationBoundary] = []
-
-    def snapshot(phase_label: str, check_live: bool) -> None:
-        state, _ = _recovered_state(
-            disk.survivor(), full_chain, config, rows, include_queries
-        )
-        snapshots.append(_RotationBoundary(phase_label, disk.op_count, state))
-        if include_queries and check_live:
-            if _query_answers(keyspace, rows) != baseline:
-                result.violations.append(
-                    f"{label}: live keyspace answers changed at rotation "
-                    f"phase {phase_label!r} — a sibling's rotation is visible"
-                )
-
-    snapshot("seeded", check_live=False)
-    keyspace.rotate(
-        _ROTATED_MASTER_KEY,
-        on_phase=lambda sid, phase: snapshot(f"{sid}:{phase}", check_live=True),
-    )
-    return snapshots, list(disk.op_log)
-
-
-def _sweep_rotation(
-    label: str,
-    config: EncryptionConfig,
-    rows: int,
-    shard_count: int,
-    limit: int | None,
-    modes: tuple[str, ...],
-) -> ConfigRotationResult:
-    result = ConfigRotationResult(config=label)
-    include_queries = _round_trips(config, _CRASH_MASTER_KEY)
-    full_chain = KeyChain([_CRASH_MASTER_KEY, _ROTATED_MASTER_KEY])
-    snapshots, op_log = _reference_rotation(
-        label, config, rows, shard_count, result
-    )
-    start = snapshots[0].ops  # ops before this index belong to seeding
-    result.rotation_boundaries = len(op_log) - start
-    cutoffs = [boundary.ops for boundary in snapshots]
-
-    for offset in _crash_points(result.rotation_boundaries, limit):
-        op_index = start + offset
-        for mode in modes:
-            if mode == "torn" and op_log[op_index] not in BYTE_OPS:
-                continue  # tears identically to "cut" on payload-free ops
-            disk = CrashDisk(MemoryDisk(), CrashPlan(op_index, mode))
-            crashed = False
-            try:
-                keyspace = ShardedKeyspace.open(
-                    disk, KeyChain.single(_CRASH_MASTER_KEY), config,
-                    shard_count=shard_count, workers=1,
-                )
-                _seed_keyspace(keyspace, rows)
-                keyspace.rotate(_ROTATED_MASTER_KEY)
-            except PowerCutError:
-                crashed = True
-            if not crashed:
-                result.violations.append(
-                    f"{label}: planned crash at rotation boundary {op_index} "
-                    f"({mode}) never fired"
-                )
-                continue
-            result.trials += 1
-            RECORDER.tick()
-            RECORDER.record_injection(
-                "crash", config=label, mode=mode, op_index=op_index
-            )
-            try:
-                state, recovered = _recovered_state(
-                    disk.survivor(), full_chain, config, rows, include_queries
-                )
-            except Exception as exc:
-                result.violations.append(
-                    f"{label}: recovery raised after crash at rotation "
-                    f"boundary {op_index} ({mode}): {type(exc).__name__}: {exc}"
-                )
-                continue
-            epochs = [shard.epoch for shard in recovered.shards]
-            if any(epoch not in (0, 1) for epoch in epochs):
-                result.violations.append(
-                    f"{label}: crash at boundary {op_index} ({mode}) "
-                    f"recovered shard epochs {epochs} outside the chain"
-                )
-            result.rollbacks += sum(
-                1 for s in recovered.shards if s.resolution.rolled_back
-            )
-            result.rollforwards += sum(
-                1 for s in recovered.shards if s.resolution.rolled_forward
-            )
-            # Boundary op_index interrupts the protocol phase *after* the
-            # last snapshot whose op count is <= op_index.
-            pre_index = bisect_right(cutoffs, op_index) - 1
-            pre = snapshots[pre_index].state
-            post = (
-                snapshots[pre_index + 1].state
-                if pre_index + 1 < len(snapshots)
-                else pre
-            )
-            if state == post:
-                result.recovered_post += 1
-                RECORDER.record_detection(
-                    "crash", config=label, mode=mode, op_index=op_index,
-                    via="rotation-recovery",
-                )
-            elif state == pre:
-                result.recovered_pre += 1
-                RECORDER.record_detection(
-                    "crash", config=label, mode=mode, op_index=op_index,
-                    via="rotation-recovery",
-                )
-            else:
-                result.violations.append(
-                    f"{label}: crash at rotation boundary {op_index} ({mode}, "
-                    f"{op_log[op_index]}, after phase "
-                    f"{snapshots[pre_index].label!r}) recovered to a state "
-                    f"matching neither side — shard epochs {epochs}, "
-                    f"manifest {state['manifest']}"
-                )
-    return result
+    def tally(self, recovered: ShardedKeyspace) -> None:
+        for shard in recovered.shards:
+            self.outcome.rollbacks += shard.resolution.rolled_back
+            self.outcome.rollforwards += shard.resolution.rolled_forward
 
 
 def _final_rotated_disk(
     config: EncryptionConfig, rows: int, shard_count: int
 ) -> dict[str, bytes]:
-    disk = MemoryDisk()
-    keyspace = ShardedKeyspace.open(
-        disk, KeyChain.single(_CRASH_MASTER_KEY), config,
-        shard_count=shard_count, workers=1,
+    workload = _RotationWorkload(
+        ConfigRotationResult(config="final"), config, rows, shard_count
     )
-    _seed_keyspace(keyspace, rows)
-    keyspace.rotate(_ROTATED_MASTER_KEY)
-    return disk.durable_state()
-
-
-def _audit_neutrality_check(
-    label: str,
-    config: EncryptionConfig,
-    rows: int,
-    shard_count: int,
-    result: ConfigRotationResult,
-) -> None:
-    was_enabled = AUDIT.enabled
-    try:
-        AUDIT.disable()
-        quiet = _final_rotated_disk(config, rows, shard_count)
-        AUDIT.enable()
-        audited = _final_rotated_disk(config, rows, shard_count)
-    finally:
-        AUDIT.enabled = was_enabled
-    if quiet != audited:
-        result.violations.append(
-            f"{label}: enabling audit hooks changed the rotated bytes"
-        )
+    return crash_free_bytes(workload)
 
 
 def run_rotation_campaign(
@@ -360,41 +170,36 @@ def run_rotation_campaign(
     limit: int | None = None,
     configs: list[tuple[str, EncryptionConfig]] | None = None,
     modes: tuple[str, ...] = CRASH_MODES,
-) -> RotationCampaignResult:
+) -> CampaignMatrix:
     """Sweep every (or ``limit`` evenly-spaced) rotation write boundary
     under every crash mode, for every configuration."""
-    for mode in modes:
-        if mode not in CRASH_MODES:
-            raise ValueError(f"unknown crash mode {mode!r}")
+    _check_modes(modes)
     if shard_count < 1:
         raise ValueError("shard_count must be at least 1")
     configs = configs if configs is not None else default_campaign_configs()
-    campaign = RotationCampaignResult(
-        rows=rows, shard_count=shard_count, limit=limit, modes=tuple(modes)
+    campaign = CampaignMatrix(
+        ConfigRotationResult,
+        sweep_caption(
+            "key-rotation crash campaign",
+            f"{rows}-row workload, {shard_count} shards, "
+            f"modes {'/'.join(modes)}",
+            limit,
+        ),
     )
     for label, config in configs:
-        result = _sweep_rotation(label, config, rows, shard_count, limit, modes)
-        _audit_neutrality_check(label, config, rows, shard_count, result)
-        campaign.per_config.append(result)
+        workload = _RotationWorkload(campaign.add(label), config, rows, shard_count)
+        result = sweep(workload, limit, tuple(modes))
         if HUB.enabled:
             labels = {"config": label}
             HUB.tick()
-            HUB.record("rotation.campaign.trials", result.trials, labels=labels)
+            for name in (
+                "trials", "recovered_pre", "recovered_post",
+                "rollbacks", "rollforwards",
+            ):
+                HUB.record(
+                    f"rotation.campaign.{name}", getattr(result, name), labels=labels
+                )
             HUB.record(
-                "rotation.campaign.recovered_pre", result.recovered_pre, labels=labels
-            )
-            HUB.record(
-                "rotation.campaign.recovered_post",
-                result.recovered_post,
-                labels=labels,
-            )
-            HUB.record("rotation.campaign.rollbacks", result.rollbacks, labels=labels)
-            HUB.record(
-                "rotation.campaign.rollforwards", result.rollforwards, labels=labels
-            )
-            HUB.record(
-                "rotation.campaign.violations",
-                len(result.violations),
-                labels=labels,
+                "rotation.campaign.violations", len(result.violations), labels=labels
             )
     return campaign
