@@ -160,18 +160,6 @@ def predicted_omac_invocations(message_octets: int, block_size: int = 16) -> int
     return max(1, blocks_needed(message_octets, block_size))
 
 
-def predicted_cbc_encrypt_invocations(
-    message_octets: int, block_size: int = 16
-) -> int:
-    """CBC with strict PKCS#7 always pads, so the cost is ⌊L/bs⌋ + 1."""
-    return message_octets // block_size + 1
-
-
-def predicted_cbc_decrypt_invocations(body_octets: int, block_size: int = 16) -> int:
-    """CBC decrypt of a full-block body (the stored IV is free)."""
-    return body_octets // block_size
-
-
 def measure_blockcipher_invocations(
     name: str,
     plaintext_blocks: int,

@@ -6,9 +6,12 @@
 mutation is acknowledged before its journal record is durable**:
 
 1. every engine mutation (create table/index, insert, update, delete)
-   is encoded as one :class:`~repro.durability.wal.JournalRecord`,
-   appended and synced (the MAC tag is the commit marker), and only
-   then applied to the in-memory database;
+   hands its write record to the engine's ``write_ahead`` hook, which
+   encodes it as one :class:`~repro.durability.wal.JournalRecord`,
+   appends and syncs it (the MAC tag is the commit marker); only then
+   does :meth:`~repro.engine.database.Database.apply` apply it to the
+   in-memory database.  This holds whether the mutation is called on
+   the manager or on :attr:`DurableDatabase.database`;
 2. :meth:`checkpoint` folds the current state into the existing storage
    image format and installs it via write-temp → sync → rename, then
    starts a fresh journal generation;
@@ -16,7 +19,8 @@ mutation is acknowledged before its journal record is durable**:
    :func:`~repro.robustness.recovery.load_database_resilient` when it
    is damaged), scan the journal — truncating at the first torn or
    unauthenticated suffix — and replay the committed records whose
-   sequence number exceeds the checkpoint's ``applied_seq``.
+   sequence number exceeds the checkpoint's ``applied_seq`` through the
+   same ``Database.apply``.
 
 Journal records carry the *stored* (post-codec) cell bytes, never
 plaintext: the journal lives on the same untrusted storage as the
@@ -44,7 +48,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.resilience.anchor import TrustAnchor
 
 from repro.engine.database import (
-    INDEX_KINDS,
+    OP_CREATE_INDEX,
+    OP_CREATE_TABLE,
+    OP_DELETE,
+    OP_INSERT,
+    OP_UPDATE,
     CellCodec,
     Database,
     IndexCodecFactory,
@@ -60,7 +68,7 @@ from repro.engine.storage import (
     dump_database,
     load_database,
 )
-from repro.errors import SchemaError, StorageFormatError
+from repro.errors import StorageFormatError
 from repro.mac.base import MAC
 from repro.observability.audit import AUDIT
 from repro.observability.flightrecorder import RECORDER
@@ -77,13 +85,6 @@ from repro.durability.wal import (
     decode_checkpoint,
     encode_checkpoint,
 )
-
-#: Journal operation names (the ``op`` field of every record).
-OP_CREATE_TABLE = "create_table"
-OP_CREATE_INDEX = "create_index"
-OP_INSERT = "insert"
-OP_UPDATE = "update"
-OP_DELETE = "delete"
 
 #: Rotation protocol markers (written by :mod:`repro.sharding.rotation`).
 #: They carry no engine mutation; the shard mount resolves them *before*
@@ -194,81 +195,18 @@ def _encode_delete(table: str, row_id: int) -> bytes:
     return out.getvalue()
 
 
-def _finish(reader: _Reader) -> None:
-    if reader.remaining:
-        raise StorageFormatError(
-            f"{reader.remaining} trailing byte(s) in journal payload",
-            offset=reader.offset,
-        )
+_ENCODERS = {
+    OP_CREATE_TABLE: _encode_create_table,
+    OP_CREATE_INDEX: _encode_create_index,
+    OP_INSERT: _encode_insert,
+    OP_UPDATE: _encode_update,
+    OP_DELETE: _encode_delete,
+}
 
 
-# ---------------------------------------------------------------------------
-# Physical application (shared by the live path and replay)
-# ---------------------------------------------------------------------------
-
-def _apply_create_table(db: Database, schema: TableSchema, table_id: int) -> None:
-    table = db.create_table(schema)
-    if table.table_id != table_id:
-        raise StorageFormatError(
-            f"journal created table id {table.table_id}, record says {table_id}"
-        )
-
-
-def _apply_insert(
-    db: Database, table_name: str, row_id: int, stored_cells: list[bytes]
-) -> None:
-    table = db.table(table_name)
-    if table._next_row != row_id:
-        raise StorageFormatError(
-            f"journal insert into {table_name!r} expects row {row_id}, "
-            f"table would allocate {table._next_row}"
-        )
-    assigned = table.insert_cells(stored_cells)
-    assert assigned == row_id
-
-
-def _replay_record(db: Database, record: JournalRecord) -> None:
-    """Apply one committed record physically (no index maintenance)."""
-    reader = _Reader(record.payload)
-    if record.op == OP_CREATE_TABLE:
-        schema, table_id = _read_schema(reader)
-        _finish(reader)
-        _apply_create_table(db, schema, table_id)
-    elif record.op == OP_CREATE_INDEX:
-        name = reader.read_text()
-        table = reader.read_text()
-        column = reader.read_text()
-        kind = reader.read_text()
-        order = reader.read_int()
-        index_table_id = reader.read_int()
-        _finish(reader)
-        if db.next_table_id != index_table_id:
-            raise StorageFormatError(
-                f"journal allocates index table id {db.next_table_id}, "
-                f"record says {index_table_id}"
-            )
-        # Left empty: the end-of-replay rebuild fills every index at once.
-        db.register_index(name, table, column, kind, order)
-    elif record.op == OP_INSERT:
-        table_name = reader.read_text()
-        row_id = reader.read_int()
-        cell_count = reader.read_count("cell")
-        cells = [reader.read_bytes() for _ in range(cell_count)]
-        _finish(reader)
-        _apply_insert(db, table_name, row_id, cells)
-    elif record.op == OP_UPDATE:
-        table_name = reader.read_text()
-        row_id = reader.read_int()
-        column_pos = reader.read_int()
-        stored = reader.read_bytes()
-        _finish(reader)
-        db.table(table_name).set_cell(row_id, column_pos, stored)
-    elif record.op == OP_DELETE:
-        table_name = reader.read_text()
-        row_id = reader.read_int()
-        _finish(reader)
-        db.table(table_name).delete_row(row_id)
-    elif record.op in ROTATION_OPS:
+def _record_fields(record: JournalRecord) -> tuple:
+    """Decode one committed record into its :meth:`Database.apply` fields."""
+    if record.op in ROTATION_OPS:
         # A rotation marker surviving to replay means the shard-level
         # resolve never ran (the disk was mounted bare).  Refusing to
         # apply it stops replay and flags the mount as degraded — the
@@ -277,8 +215,59 @@ def _replay_record(db: Database, record: JournalRecord) -> None:
         raise StorageFormatError(
             f"rotation record {record.op!r} outside a keyspace mount"
         )
+    reader = _Reader(record.payload)
+    text, number = reader.read_text, reader.read_int
+    if record.op == OP_CREATE_TABLE:
+        fields = _read_schema(reader)
+    elif record.op == OP_CREATE_INDEX:
+        fields = (text(), text(), text(), text(), number(), number())
+    elif record.op == OP_INSERT:
+        table, row_id = text(), number()
+        cells = [reader.read_bytes() for _ in range(reader.read_count("cell"))]
+        fields = (table, row_id, cells)
+    elif record.op == OP_UPDATE:
+        fields = (text(), number(), number(), reader.read_bytes())
+    elif record.op == OP_DELETE:
+        fields = (text(), number())
     else:
         raise StorageFormatError(f"unknown journal op {record.op!r}")
+    if reader.remaining:
+        raise StorageFormatError(
+            f"{reader.remaining} trailing byte(s) in journal payload",
+            offset=reader.offset,
+        )
+    return fields
+
+
+class _Committer:
+    """The committing end of a manager's journal: the engine's
+    ``write_ahead`` hook.  Nothing in it leads back to the database; a
+    hook bound to the manager would close a reference cycle, and every
+    dropped mount would wait for the cycle collector."""
+
+    def __init__(
+        self, journal: Journal, seq: int, generation: int,
+        anchor: "TrustAnchor | None", anchor_scope: str,
+    ) -> None:
+        self.journal, self.seq, self.generation = journal, seq, generation
+        self.anchor, self.anchor_scope = anchor, anchor_scope
+
+    def __call__(self, op: str, fields: tuple) -> None:
+        self.commit(op, _ENCODERS[op](*fields))
+
+    def commit(self, op: str, payload: bytes) -> JournalRecord:
+        record = JournalRecord(self.seq + 1, op, payload)
+        self.journal.append(record)
+        self.seq = record.seq
+        if self.anchor is not None and op not in ROTATION_OPS:
+            # Advance strictly *after* the journal append: an honest
+            # crash can lose the advance but never leave the anchor
+            # ahead of the disk.  Rotation protocol markers are excluded
+            # — a crash mid-rotation legitimately rolls them back, and
+            # they carry no user data.
+            self.anchor.advance(self.anchor_scope, record.seq, self.generation)
+        AUDIT.emit("wal.commit", seq=record.seq, op=op, bytes=len(payload))
+        return record
 
 
 def _rebuild_indexes(db: Database) -> None:
@@ -305,10 +294,9 @@ def _rebuild_indexes(db: Database) -> None:
 class DurableDatabase:
     """An engine database whose mutations survive power cuts.
 
-    Construct via :meth:`open` (which doubles as crash recovery); the
-    wrapped engine is reachable read-only-by-convention at
-    :attr:`database` — mutate only through this class, or the journal
-    will not know.
+    Construct via :meth:`open` (which doubles as crash recovery).  The
+    wrapped engine is :attr:`database`; its write-ahead hook journals
+    each of its mutations, and the mutation methods here call it.
     """
 
     def __init__(
@@ -325,13 +313,11 @@ class DurableDatabase:
     ) -> None:
         self._disk = disk
         self._db = db
-        self._journal = journal
         self._mac = mac
-        self._generation = generation
-        self._seq = seq
         self.recovery = recovery
-        self._anchor = anchor
-        self._anchor_scope = anchor_scope
+        self._committer = db.write_ahead = _Committer(
+            journal, seq, generation, anchor, anchor_scope
+        )
 
     # -- recovery (the only way in) -------------------------------------------
 
@@ -461,7 +447,7 @@ class DurableDatabase:
                     )
                     break
                 try:
-                    _replay_record(db, record)
+                    db.apply(record.op, *_record_fields(record))
                 except Exception as exc:
                     report.replay_stopped = (
                         f"record {record.seq} ({record.op}) not applicable: "
@@ -523,7 +509,7 @@ class DurableDatabase:
             anchor=anchor, anchor_scope=anchor_scope,
         )
         if fresh_disk:
-            journal.reset(manager._generation)
+            journal.reset(manager.generation)
             report.journal = JOURNAL_CLEAN
         elif fold and (report.degraded or report.journal != JOURNAL_CLEAN):
             # Fold the recovered state into a fresh checkpoint so the
@@ -539,11 +525,11 @@ class DurableDatabase:
 
     @property
     def last_seq(self) -> int:
-        return self._seq
+        return self._committer.seq
 
     @property
     def generation(self) -> int:
-        return self._generation
+        return self._committer.generation
 
     @property
     def disk(self) -> VirtualDisk:
@@ -551,7 +537,7 @@ class DurableDatabase:
 
     @property
     def journal(self) -> Journal:
-        return self._journal
+        return self._committer.journal
 
     @property
     def mac(self) -> MAC:
@@ -559,11 +545,11 @@ class DurableDatabase:
 
     @property
     def anchor(self) -> "TrustAnchor | None":
-        return self._anchor
+        return self._committer.anchor
 
     @property
     def anchor_scope(self) -> str:
-        return self._anchor_scope
+        return self._committer.anchor_scope
 
     def commit_record(self, op: str, payload: bytes) -> JournalRecord:
         """Journal one protocol record (no engine mutation).
@@ -572,120 +558,49 @@ class DurableDatabase:
         commit markers so they share the manager's sequence numbering,
         commit-marker MAC, and ``wal.commit`` audit trail.
         """
-        return self._commit(op, payload)
+        return self._committer.commit(op, payload)
 
-    # -- journaling core ------------------------------------------------------
-
-    def _commit(self, op: str, payload: bytes) -> JournalRecord:
-        record = JournalRecord(self._seq + 1, op, payload)
-        self._journal.append(record)
-        self._seq = record.seq
-        if self._anchor is not None and op not in ROTATION_OPS:
-            # Advance strictly *after* the journal append: an honest
-            # crash can lose the advance but never leave the anchor
-            # ahead of the disk.  Rotation protocol markers are excluded
-            # — a crash mid-rotation legitimately rolls them back, and
-            # they carry no user data.
-            self._anchor.advance(self._anchor_scope, record.seq, self._generation)
-        AUDIT.emit("wal.commit", seq=record.seq, op=op, bytes=len(payload))
-        return record
+    # -- checkpoint -----------------------------------------------------------
 
     def checkpoint(self) -> None:
         """Fold the current state into the image format, atomically."""
+        log = self._committer
         with _TRACER.span("wal.checkpoint") as span:
             image = dump_database(self._db)
-            self._generation += 1
-            blob = encode_checkpoint(self._generation, self._seq, image, self._mac)
+            log.generation += 1
+            blob = encode_checkpoint(log.generation, log.seq, image, self._mac)
             span.add_cost("bytes_written", len(blob))
             self._disk.write(CHECKPOINT_TMP, blob)
             self._disk.sync(CHECKPOINT_TMP)
             self._disk.rename(CHECKPOINT_TMP, CHECKPOINT_BLOB)
-            self._journal.reset(self._generation)
-        if self._anchor is not None:
-            self._anchor.advance(self._anchor_scope, self._seq, self._generation)
+            log.journal.reset(log.generation)
+        if log.anchor is not None:
+            log.anchor.advance(log.anchor_scope, log.seq, log.generation)
         AUDIT.emit(
             "wal.checkpoint",
-            generation=self._generation,
-            applied_seq=self._seq,
+            generation=log.generation,
+            applied_seq=log.seq,
             bytes=len(blob),
         )
 
-    # -- journaled mutations --------------------------------------------------
+    # -- journaled mutations (the engine's own, through its hook) -------------
 
     def create_table(self, schema: TableSchema) -> None:
-        if schema.name in self._db.table_names:
-            raise SchemaError(f"table {schema.name!r} already exists")
-        table_id = self._db.next_table_id
-        self._commit(OP_CREATE_TABLE, _encode_create_table(schema, table_id))
-        _apply_create_table(self._db, schema, table_id)
+        self._db.create_table(schema)
 
     def create_index(
         self, name: str, table_name: str, column_name: str,
         kind: str = "table", order: int = 8,
     ) -> None:
-        if name in self._db.index_names:
-            raise SchemaError(f"index {name!r} already exists")
-        if kind not in INDEX_KINDS:
-            raise SchemaError(f"unknown index kind {kind!r}")
-        table = self._db.table(table_name)
-        table.schema.column_index(column_name)  # validates before journaling
-        index_table_id = self._db.next_table_id
-        self._commit(
-            OP_CREATE_INDEX,
-            _encode_create_index(
-                name, table_name, column_name, kind, order, index_table_id
-            ),
-        )
-        info = self._db.create_index(name, table_name, column_name, kind, order)
-        if info.structure.index_table_id != index_table_id:
-            raise StorageFormatError(
-                f"index build allocated id {info.structure.index_table_id}, "
-                f"journal says {index_table_id}"
-            )
+        self._db.create_index(name, table_name, column_name, kind, order)
 
     def insert(self, table_name: str, values: Sequence[Any]) -> int:
-        table = self._db.table(table_name)
-        plain_cells = table.schema.encode_row(values)
-        row_id = table._next_row
-        stored_cells = []
-        for column_pos, plain in enumerate(plain_cells):
-            address = table.address(row_id, column_pos)
-            stored_cells.append(
-                self._db._stored_form(table, column_pos, plain, address)
-            )
-        self._commit(OP_INSERT, _encode_insert(table_name, row_id, stored_cells))
-        _apply_insert(self._db, table_name, row_id, stored_cells)
-        for info in self._db._table_indexes(table_name):
-            column_pos = table.schema.column_index(info.column)
-            info.structure.insert(plain_cells[column_pos], row_id)
-        return row_id
+        return self._db.insert(table_name, values)
 
     def update_value(
         self, table_name: str, row_id: int, column_name: str, value: Any
     ) -> None:
-        table = self._db.table(table_name)
-        column_pos = table.schema.column_index(column_name)
-        column = table.schema.columns[column_pos]
-        old_plain = self._db._plain_cell(table, row_id, column_pos)
-        new_plain = column.encode(value)
-        address = table.address(row_id, column_pos)
-        stored = self._db._stored_form(table, column_pos, new_plain, address)
-        self._commit(OP_UPDATE, _encode_update(table_name, row_id, column_pos, stored))
-        table.set_cell(row_id, column_pos, stored)
-        for info in self._db.indexes_on(table_name, column_name):
-            info.structure.delete(old_plain, row_id)
-            info.structure.insert(new_plain, row_id)
+        self._db.update_value(table_name, row_id, column_name, value)
 
     def delete_row(self, table_name: str, row_id: int) -> None:
-        table = self._db.table(table_name)
-        table._get_row(row_id)  # validate before journaling
-        index_plains = [
-            (info, self._db._plain_cell(
-                table, row_id, table.schema.column_index(info.column)
-            ))
-            for info in self._db._table_indexes(table_name)
-        ]
-        self._commit(OP_DELETE, _encode_delete(table_name, row_id))
-        for info, plain in index_plains:
-            info.structure.delete(plain, row_id)
-        table.delete_row(row_id)
+        self._db.delete_row(table_name, row_id)

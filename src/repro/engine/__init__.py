@@ -33,7 +33,7 @@ from repro.engine.query import (
 )
 from repro.engine.schema import Column, ColumnType, TableSchema
 from repro.engine.storage import dump_database, load_database
-from repro.engine.table import CellAddress, Table, TypedTableView
+from repro.engine.table import CellAddress, Table
 
 __all__ = [
     "AtLeastQuery",
@@ -64,7 +64,6 @@ __all__ = [
     "ScanQuery",
     "Table",
     "TableSchema",
-    "TypedTableView",
     "dump_database",
     "load_database",
     "run_all",

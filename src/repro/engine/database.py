@@ -25,7 +25,12 @@ from repro.engine.codec import IndexEntryCodec, PlainEntryCodec
 from repro.engine.indextable import IndexTable
 from repro.engine.schema import Column, ColumnType, TableSchema
 from repro.engine.table import CellAddress, Table
-from repro.errors import NoSuchIndexError, NoSuchTableError, SchemaError
+from repro.errors import (
+    NoSuchIndexError,
+    NoSuchTableError,
+    SchemaError,
+    StorageFormatError,
+)
 from repro.observability import timed
 from repro.observability.audit import AUDIT
 from repro.observability.trace import TRACER
@@ -101,6 +106,14 @@ class IndexInfo:
 #: The ``kind`` names of the two index structures.
 INDEX_KINDS = ("table", "btree")
 
+#: The write records of :meth:`Database.apply` (and the ``op`` of every
+#: journal record that carries an engine mutation).
+OP_CREATE_TABLE = "create_table"
+OP_CREATE_INDEX = "create_index"
+OP_INSERT = "insert"
+OP_UPDATE = "update"
+OP_DELETE = "delete"
+
 
 class Database:
     """Tables plus secondary indexes behind one typed API.
@@ -108,6 +121,10 @@ class Database:
     ``kind`` of an index selects the structure: ``"table"`` for the
     binary table-representation of [3] (:class:`IndexTable`) or
     ``"btree"`` for the d-ary B⁺-tree (:class:`BPlusTree`).
+
+    Each mutation validates its input, does its codec work, and hands one
+    write record ``(op, fields)`` to the optional :attr:`write_ahead` hook
+    (the durable manager's journal) and then to :meth:`apply`.
     """
 
     def __init__(
@@ -121,6 +138,8 @@ class Database:
         )
         self._tables: dict[str, Table] = {}
         self._indexes: dict[str, IndexInfo] = {}
+        #: Called as ``write_ahead(op, fields)`` before each record is applied.
+        self.write_ahead: Callable[[str, tuple], None] | None = None
 
     # -- schema ---------------------------------------------------------------
 
@@ -139,9 +158,7 @@ class Database:
     def create_table(self, schema: TableSchema) -> Table:
         if schema.name in self._tables:
             raise SchemaError(f"table {schema.name!r} already exists")
-        table = Table(self.next_table_id, schema)
-        self._tables[schema.name] = table
-        return table
+        return self._write(OP_CREATE_TABLE, schema, self.next_table_id)
 
     def table(self, name: str) -> Table:
         try:
@@ -175,12 +192,20 @@ class Database:
         order: int = 8,
     ) -> IndexInfo:
         """Create (and backfill) a secondary index on one column."""
+        if name in self._indexes:
+            raise SchemaError(f"index {name!r} already exists")
+        if kind not in INDEX_KINDS:
+            raise SchemaError(f"unknown index kind {kind!r}")
         table = self.table(table_name)
+        column_pos = table.schema.column_index(column_name)
+        fields = (name, table_name, column_name, kind, order, self.next_table_id)
+        # Not _write: the backfill decode runs between the hook and apply,
+        # so a cell that fails to decode leaves no empty index behind.
+        if self.write_ahead is not None:
+            self.write_ahead(OP_CREATE_INDEX, fields)
         row_ids = table.row_ids
-        plains = self._plain_cells_batch(
-            table, row_ids, table.schema.column_index(column_name)
-        )
-        info = self.register_index(name, table_name, column_name, kind, order)
+        plains = self._plain_cells_batch(table, row_ids, column_pos)
+        info = self.apply(OP_CREATE_INDEX, *fields)
         info.structure.bulk_build(list(zip(plains, row_ids)))
         return info
 
@@ -296,16 +321,14 @@ class Database:
         index on the table is maintained."""
         table = self.table(table_name)
         plain_cells = table.schema.encode_row(values)
-        # Two-phase: allocate the row id first (addresses bind row ids),
-        # then encode each cell against its own final address.
-        row_id = table.insert_cells([b""] * len(plain_cells))
-        for column_pos, plain in enumerate(plain_cells):
-            address = table.address(row_id, column_pos)
-            stored = self._stored_form(table, column_pos, plain, address)
-            table.set_cell(row_id, column_pos, stored)
-        for info in self._table_indexes(table_name):
-            column_pos = table.schema.column_index(info.column)
-            info.structure.insert(plain_cells[column_pos], row_id)
+        # Addresses bind row ids: encode against the id apply() allocates.
+        row_id = table.next_row_id
+        stored = [
+            self._stored_form(table, pos, plain, table.address(row_id, pos))
+            for pos, plain in enumerate(plain_cells)
+        ]
+        self._write(OP_INSERT, table_name, row_id, stored)
+        self._index_row(table, row_id, plain_cells)
         return row_id
 
     @timed("db.insert_many")
@@ -315,36 +338,33 @@ class Database:
         """Bulk insert through the batched cell-codec path.
 
         Storage is byte-identical to ``[self.insert(table_name, r) for r in
-        rows]``: row ids are allocated up front (addresses bind row ids),
-        sensitive cells are batch-encoded in exactly the row-major order the
-        sequential path uses — so nonce and IV consumption matches — and
-        index maintenance runs per row in the same order.
+        rows]``: sensitive cells are batch-encoded against their rows' ids in
+        exactly the row-major order the sequential path uses — so nonce and
+        IV consumption matches — each row is one insert record, and index
+        maintenance runs per row in the same order.
         """
         table = self.table(table_name)
         encoded_rows = [table.schema.encode_row(values) for values in rows]
-        row_ids = [table.insert_cells([b""] * len(cells)) for cells in encoded_rows]
-        sensitive = {
-            pos
-            for pos, column in enumerate(table.schema.columns)
-            if column.sensitive
-        }
-        items: list[tuple[bytes, CellAddress]] = []
-        for row_id, cells in zip(row_ids, encoded_rows):
-            for pos in sorted(sensitive):
-                items.append((cells[pos], table.address(row_id, pos)))
-        stored_batch = self._encode_cells_batch(table, items)
-        cursor = 0
-        for row_id, cells in zip(row_ids, encoded_rows):
-            for pos, plain in enumerate(cells):
-                if pos in sensitive:
-                    table.set_cell(row_id, pos, stored_batch[cursor])
-                    cursor += 1
-                else:
-                    table.set_cell(row_id, pos, plain)
-        for row_id, cells in zip(row_ids, encoded_rows):
-            for info in self._table_indexes(table_name):
-                column_pos = table.schema.column_index(info.column)
-                info.structure.insert(cells[column_pos], row_id)
+        row_ids = [table.next_row_id + n for n in range(len(encoded_rows))]
+        sensitive = [column.sensitive for column in table.schema.columns]
+        stored_batch = iter(self._encode_cells_batch(table, [
+            (cells[pos], table.address(row_id, pos))
+            for row_id, cells in zip(row_ids, encoded_rows)
+            for pos in range(len(cells)) if sensitive[pos]
+        ]))
+        written = 0
+        try:
+            for row_id, cells in zip(row_ids, encoded_rows):
+                stored = [
+                    next(stored_batch) if sensitive[pos] else plain
+                    for pos, plain in enumerate(cells)
+                ]
+                self._write(OP_INSERT, table_name, row_id, stored)
+                written += 1
+        finally:
+            # Rows already written stay indexed if a later record fails.
+            for row_id, cells in zip(row_ids[:written], encoded_rows):
+                self._index_row(table, row_id, cells)
         return row_ids
 
     def get_row(self, table_name: str, row_id: int) -> list[Any]:
@@ -387,9 +407,8 @@ class Database:
         old_plain = self._plain_cell(table, row_id, column_pos)
         new_plain = column.encode(value)
         address = table.address(row_id, column_pos)
-        table.set_cell(
-            row_id, column_pos, self._stored_form(table, column_pos, new_plain, address)
-        )
+        stored = self._stored_form(table, column_pos, new_plain, address)
+        self._write(OP_UPDATE, table_name, row_id, column_pos, stored)
         for info in self.indexes_on(table_name, column_name):
             info.structure.delete(old_plain, row_id)
             info.structure.insert(new_plain, row_id)
@@ -397,11 +416,62 @@ class Database:
     @timed("db.delete")
     def delete_row(self, table_name: str, row_id: int) -> None:
         table = self.table(table_name)
-        for info in self._table_indexes(table_name):
-            column_pos = table.schema.column_index(info.column)
-            plain = self._plain_cell(table, row_id, column_pos)
+        table.get_row(row_id)  # raises NoSuchRowError before the record
+        index_plains = [
+            (info, self._plain_cell(
+                table, row_id, table.schema.column_index(info.column)
+            ))
+            for info in self._table_indexes(table_name)
+        ]
+        self._write(OP_DELETE, table_name, row_id)
+        for info, plain in index_plains:
             info.structure.delete(plain, row_id)
-        table.delete_row(row_id)
+
+    def apply(self, op: str, *fields: Any) -> Any:
+        """Apply one write record: the one place a mutation reaches the
+        catalog or a table.
+
+        Physical only (stored cells, no index maintenance), so WAL replay
+        runs journaled records through it as they are.  A record's ids
+        must be the ones this database allocates next, or it raises
+        :class:`~repro.errors.StorageFormatError`.  Returns the new
+        :class:`Table` or :class:`IndexInfo`, or the record's row id.
+        """
+        if op in (OP_CREATE_TABLE, OP_CREATE_INDEX):
+            new_id = fields[-1]
+            if new_id != self.next_table_id:
+                raise StorageFormatError(
+                    f"{op} record says id {new_id}, "
+                    f"database allocates {self.next_table_id}"
+                )
+            if op == OP_CREATE_INDEX:
+                return self.register_index(*fields)
+            schema = fields[0]
+            if schema.name in self._tables:
+                raise SchemaError(f"table {schema.name!r} already exists")
+            table = self._tables[schema.name] = Table(new_id, schema)
+            return table
+        if op not in (OP_INSERT, OP_UPDATE, OP_DELETE):
+            raise StorageFormatError(f"unknown write op {op!r}")
+        table_name, row_id, *rest = fields
+        table = self.table(table_name)
+        if op == OP_DELETE:
+            table.delete_row(row_id)
+        elif op == OP_UPDATE:
+            column_pos, stored = rest
+            table.set_cell(row_id, column_pos, stored)
+        else:
+            (cells,) = rest
+            if row_id != table.next_row_id:
+                raise StorageFormatError(
+                    f"insert into {table_name!r} says row {row_id}, "
+                    f"table allocates {table.next_row_id}"
+                )
+            # set_cell counts each write and charges its bytes to the trace.
+            table.insert_cells([b""] * len(cells))
+            for column_pos, cell in enumerate(cells):
+                table.set_cell(row_id, column_pos, cell)
+        return row_id
 
     # -- queries ---------------------------------------------------------------
     # Each query kind states one key interval over the order-preserving cell
@@ -478,11 +548,22 @@ class Database:
 
     # -- internals ---------------------------------------------------------------
 
+    def _write(self, op: str, *fields: Any) -> Any:
+        """Hand one write record to the hook, then apply it."""
+        if self.write_ahead is not None:
+            self.write_ahead(op, fields)
+        return self.apply(op, *fields)
+
     def _table_indexes(self, table_name: str) -> list[IndexInfo]:
         return [
             info for info in self._indexes.values()
             if info.table == table_name and not info.quarantined
         ]
+
+    def _index_row(self, table: Table, row_id: int, plain_cells: list[bytes]) -> None:
+        for info in self._table_indexes(table.schema.name):
+            column_pos = table.schema.column_index(info.column)
+            info.structure.insert(plain_cells[column_pos], row_id)
 
     def _stored_form(
         self, table: Table, column_pos: int, plain: bytes, address: CellAddress

@@ -10,7 +10,7 @@ for a storage location — the property the address-binding µ relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.engine.schema import TableSchema
 from repro.errors import NoSuchRowError, SchemaError
@@ -67,6 +67,11 @@ class Table:
     @property
     def row_ids(self) -> list[int]:
         return sorted(self._rows)
+
+    @property
+    def next_row_id(self) -> int:
+        """The id :meth:`insert_cells` allocates next."""
+        return self._next_row
 
     def insert_cells(self, cells: Sequence[bytes]) -> int:
         """Insert one encoded row; returns the new row id ``r``."""
@@ -129,37 +134,3 @@ class Table:
                 f"table {self.schema.name!r} has no row {row_id}"
             ) from None
 
-
-class TypedTableView:
-    """Convenience view translating between typed values and cells.
-
-    Used by the *plain* database; the encrypted database performs its
-    own cell-level transformations and does not go through this view.
-    """
-
-    def __init__(self, table: Table) -> None:
-        self._table = table
-
-    @property
-    def schema(self) -> TableSchema:
-        return self._table.schema
-
-    def insert(self, values: Sequence[Any]) -> int:
-        return self._table.insert_cells(self._table.schema.encode_row(values))
-
-    def get(self, row_id: int) -> list[Any]:
-        return self._table.schema.decode_row(self._table.get_row(row_id))
-
-    def get_value(self, row_id: int, column_name: str) -> Any:
-        index = self._table.schema.column_index(column_name)
-        column = self._table.schema.columns[index]
-        return column.decode(self._table.get_cell(row_id, index))
-
-    def set_value(self, row_id: int, column_name: str, value: Any) -> None:
-        index = self._table.schema.column_index(column_name)
-        column = self._table.schema.columns[index]
-        self._table.set_cell(row_id, index, column.encode(value))
-
-    def rows(self) -> Iterator[tuple[int, list[Any]]]:
-        for row_id, cells in self._table.scan():
-            yield row_id, self._table.schema.decode_row(cells)

@@ -9,7 +9,7 @@ implicitly extended with zero bits (Sect. 2, *Notation*).
 from __future__ import annotations
 
 import hmac as _stdlib_hmac
-from typing import Iterator, Sequence
+from typing import Iterator
 
 
 def xor_bytes(x: bytes, y: bytes) -> bytes:
@@ -162,17 +162,3 @@ def ascii_high_bits(data: bytes) -> int:
 def is_ascii(data: bytes) -> bool:
     """True when every octet is in the 7-bit ASCII range 0..127."""
     return all(byte <= 127 for byte in data)
-
-
-def pad_or_trim(data: bytes, length: int, fill: int = 0) -> bytes:
-    """Right-pad with ``fill`` bytes or truncate to exactly ``length``."""
-    if len(data) >= length:
-        return data[:length]
-    return data + bytes([fill]) * (length - len(data))
-
-
-def chunk_pairs(items: Sequence[bytes]) -> Iterator[tuple[int, int]]:
-    """Yield all index pairs (i, j) with i < j — collision-scan helper."""
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            yield i, j

@@ -1,6 +1,10 @@
 """E3: the XOR-Scheme substitution attack and the collision experiment."""
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.attacks.substitution import (
     evaluate_substitution,
@@ -10,12 +14,13 @@ from repro.attacks.substitution import (
     relocate_ciphertext,
     running_row_addresses,
 )
-from repro.core.address import KeyedMu
+from repro.core.address import KeyedMu, default_mu
 from repro.core.cellcrypto import ascii_validator
 from repro.core.encrypted_db import EncryptedDatabase, EncryptionConfig
 from repro.engine.schema import Column, ColumnType, TableSchema
 from repro.engine.table import CellAddress
-from repro.primitives.util import is_ascii
+from repro.errors import DecryptionError
+from repro.primitives.util import ascii_high_bits, is_ascii, xor_bytes_strict
 from repro.workloads.generators import default_rng, single_block_ascii
 
 MASTER = b"substitution-test-master-key-012"
@@ -109,3 +114,49 @@ def test_attack_fails_against_aead_cells():
     )
     assert not outcome.succeeded
     assert outcome.metrics["relocations_accepted"] == 0
+
+
+# -- E3 as an exact property --------------------------------------------------
+
+XOR_CELLS = EncryptedDatabase(MASTER, EncryptionConfig(
+    cell_scheme="xor", index_scheme="plain", xor_validator=ascii_validator
+)).cell_codec
+
+
+@functools.cache
+def paper_pairs() -> list[tuple[CellAddress, CellAddress]]:
+    """The pairs the paper's 1024-address scan finds under SHA-1/128."""
+    scan = find_partial_collisions(running_row_addresses(1, 0, 1024))
+    assert len(scan) == 9
+    return [(c.address_a, c.address_b) for c in scan]
+
+
+ascii_blocks = st.binary(min_size=16, max_size=16).map(
+    lambda raw: bytes(octet & 0x7F for octet in raw)
+)
+addresses = st.builds(
+    CellAddress, *[st.integers(0, 2**64 - 1)] * 3
+)
+address_pairs = st.one_of(
+    st.deferred(lambda: st.sampled_from(paper_pairs())),
+    st.tuples(addresses, addresses),
+)
+
+
+@given(value=ascii_blocks, pair=address_pairs)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_relocation_is_accepted_exactly_when_mu_high_bits_agree(value, pair):
+    """§3.1: a ciphertext moved from a to b decodes to V ⊕ µ(a) ⊕ µ(b),
+    which passes the ASCII check iff µ(a) and µ(b) agree on every
+    octet's high bit."""
+    a, b = pair
+    mu = default_mu()
+    agree = ascii_high_bits(mu(a)) == ascii_high_bits(mu(b))
+    stored = XOR_CELLS.encode_cell(value, a)
+    try:
+        moved = XOR_CELLS.decode_cell(stored, b)
+    except DecryptionError:
+        assert not agree
+    else:
+        assert agree
+        assert moved == xor_bytes_strict(xor_bytes_strict(value, mu(a)), mu(b))

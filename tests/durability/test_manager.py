@@ -1,7 +1,11 @@
 """DurableDatabase: journal-first mutations, checkpoints, crash recovery."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro import observability
 from repro.core.encrypted_db import EncryptedDatabase, EncryptionConfig
 from repro.core.keys import KeyRing
 from repro.durability.manager import (
@@ -26,6 +30,7 @@ from repro.engine.schema import Column, ColumnType, TableSchema
 from repro.engine.storage import dump_database
 from repro.errors import NoSuchRowError, NoSuchTableError, SchemaError
 from repro.observability.audit import AUDIT
+from repro.observability.metrics import REGISTRY
 
 MASTER = b"manager-test-master-key-01234567"
 MAC = journal_mac(KeyRing(MASTER))
@@ -148,6 +153,99 @@ def test_recovered_state_redumps_identically_across_mounts():
     first = open_encrypted(MemoryDisk(state))
     second = open_encrypted(MemoryDisk(state))
     assert dump_database(first.database) == dump_database(second.database)
+
+
+# -- the engine's own mutations are the journaled ones -------------------------
+
+def test_mutations_on_the_wrapped_engine_survive_a_remount():
+    disk = MemoryDisk()
+    manager = open_encrypted(disk)
+    db = manager.database
+    db.create_table(SCHEMA)
+    db.create_index("t_k", "t", "k", kind="btree", order=4)
+    first = db.insert("t", [1, "one"])
+    second, third, fourth = db.insert_many("t", [[2, "two"], [3, "three"], [4, "four"]])
+    db.update_value("t", second, "v", "deux")
+    db.update_value("t", third, "k", 30)
+    db.delete_row("t", fourth)
+
+    reopened = open_encrypted(MemoryDisk(disk.durable_state()))
+    assert reopened.recovery.records_replayed == 9
+    assert list(reopened.database.scan("t")) == [
+        (first, [1, "one"]), (second, [2, "deux"]), (third, [30, "three"]),
+    ]
+    assert cells(reopened.database) == cells(db)
+    assert reopened.database.select_equals("t", "k", 30) == [(third, [30, "three"])]
+    assert reopened.database.select_equals("t", "k", 4) == []
+
+
+@pytest.fixture
+def counting():
+    observability.disable()
+    observability.reset()
+    observability.enable()
+    yield
+    observability.disable()
+    observability.reset()
+
+
+def counter_moves(action) -> dict[str, int]:
+    """The counters one call moves, by how much."""
+    before = REGISTRY.counters()
+    action()
+    return {
+        name: value - before.get(name, 0)
+        for name, value in REGISTRY.counters().items()
+        if value != before.get(name, 0)
+    }
+
+
+def test_journaled_mutations_move_the_engine_counters(counting):
+    manager = open_plain(MemoryDisk())
+    manager.create_table(SCHEMA)
+    manager.insert("t", [1, "one"])
+
+    insert = counter_moves(lambda: manager.insert("t", [2, "two"]))
+    assert insert["db.insert.calls"] == 1
+    assert insert["storage.cell.writes"] == 2        # one per column
+    update = counter_moves(lambda: manager.update_value("t", 0, "v", "uno"))
+    assert update["db.update.calls"] == 1
+    assert update["storage.cell.writes"] == 1
+    index = counter_moves(lambda: manager.create_index("t_k", "t", "k"))
+    assert index["db.create_index.calls"] == 1
+    delete = counter_moves(lambda: manager.delete_row("t", 1))
+    assert delete["db.delete.calls"] == 1
+
+
+def test_a_failed_record_leaves_written_rows_indexed():
+    db = open_encrypted(MemoryDisk()).database
+    db.create_table(SCHEMA)
+    db.create_index("t_k", "t", "k", kind="table")
+    journal = db.write_ahead
+    records = []
+
+    def fail_second_insert(op, fields):
+        records.append(op)
+        if records.count("insert") == 2:
+            raise OSError("journal device gone")
+        journal(op, fields)
+
+    db.write_ahead = fail_second_insert
+    with pytest.raises(OSError):
+        db.insert_many("t", [[1, "one"], [2, "two"]])
+    assert db.table("t").row_ids == [0]
+    assert db.select_equals("t", "k", 1) == [(0, [1, "one"])]
+
+
+def test_a_dropped_mount_frees_its_database_without_the_cycle_collector():
+    disk = MemoryDisk()
+    open_plain(disk).create_table(SCHEMA)
+    gc.disable()
+    try:
+        database = weakref.ref(open_plain(MemoryDisk(disk.durable_state())).database)
+        assert database() is None
+    finally:
+        gc.enable()
 
 
 # -- the recovery decision table ----------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.database import Database
+from repro.engine.database import Database, PlainCellCodec
 from repro.engine.query import (
     CountQuery,
     PointQuery,
@@ -120,6 +120,21 @@ def test_error_paths():
         db.create_index("emp_salary", "emp", "salary")
     with pytest.raises(SchemaError):
         db.create_index("x", "emp", "salary", kind="hash")
+
+
+def test_a_refused_cell_leaves_no_row_behind():
+    class Refusing(PlainCellCodec):
+        def encode_cell(self, plaintext, address):
+            if plaintext.endswith(b"bad"):
+                raise ValueError("refused")
+            return plaintext
+
+    db = Database(cell_codec=Refusing())
+    db.create_table(SCHEMA)
+    with pytest.raises(ValueError):
+        db.insert("emp", [1, "bad", 100])
+    assert db.count("emp") == 0
+    assert db.insert("emp", [1, "good", 100]) == 0
 
 
 def test_index_backfills_existing_rows():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine.schema import Column, ColumnType, TableSchema
-from repro.engine.table import CellAddress, Table, TypedTableView
+from repro.engine.table import CellAddress, Table
 from repro.errors import NoSuchRowError, SchemaError
 
 
@@ -83,15 +83,3 @@ def test_address_encoding_is_fixed_width_and_injective():
 
 def test_address_ordering():
     assert CellAddress(1, 1, 0) < CellAddress(1, 2, 0) < CellAddress(2, 0, 0)
-
-
-def test_typed_view():
-    table = make_table()
-    view = TypedTableView(table)
-    row = view.insert([41, "hello"])
-    assert view.get(row) == [41, "hello"]
-    assert view.get_value(row, "b") == "hello"
-    view.set_value(row, "a", 42)
-    assert view.get_value(row, "a") == 42
-    assert list(view.rows()) == [(row, [42, "hello"])]
-    assert view.schema is table.schema

@@ -17,7 +17,6 @@ from repro.primitives.util import (
     is_ascii,
     iter_blocks,
     ntz,
-    pad_or_trim,
     rotl32,
     split_blocks,
     xor_bytes,
@@ -184,12 +183,6 @@ def test_ascii_helpers():
     # High bit mask: MSB of each octet, big-endian.
     assert ascii_high_bits(b"\x80\x00\xff") == 0b101
     assert ascii_high_bits(b"abc") == 0
-
-
-def test_pad_or_trim():
-    assert pad_or_trim(b"abc", 5) == b"abc\x00\x00"
-    assert pad_or_trim(b"abcdef", 4) == b"abcd"
-    assert pad_or_trim(b"", 2, fill=0xFF) == b"\xff\xff"
 
 
 def test_hexstr():

@@ -81,7 +81,7 @@ def test_rotation_markers_do_not_advance_the_anchor():
     manager.insert("people", [0, "zero"])
     before = anchor.get("db")
     for op in ROTATION_OPS:
-        manager._commit(op, b'{"epoch": 1}')
+        manager.commit_record(op, b'{"epoch": 1}')
     assert anchor.get("db") == before
 
 
