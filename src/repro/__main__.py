@@ -574,7 +574,8 @@ def _bench(args: argparse.Namespace) -> int:
 def _backendparity(args: argparse.Namespace) -> int:
     """Cross-backend equivalence sweep: every registered cipher backend
     must produce byte-identical output at three layers — raw blocks,
-    whole database images, and batched-vs-sequential engine paths."""
+    whole database images, and ``insert_many`` against the per-row
+    insert loop."""
     from repro.engine.storage import dump_database
     from repro.primitives.backends import available_backends, get_backend
     from repro.robustness.campaign import build_campaign_db, default_campaign_configs
@@ -622,7 +623,7 @@ def _backendparity(args: argparse.Namespace) -> int:
     document["primitives"] = primitive_rows
 
     # Layer 2 + 3: whole-image SHA-256 per campaign config per backend,
-    # plus the batched insert path against the sequential loop.
+    # plus insert_many against the per-row insert loop.
     rows = 8
     image_rows: list[dict] = []
     for label, config in default_campaign_configs():

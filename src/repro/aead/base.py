@@ -43,17 +43,16 @@ class AEAD(ABC):
         the nonce, ciphertext, tag, or header fail to verify.
         """
 
+    # The two batch names are plain loops over the per-message methods,
+    # overridden nowhere and called from nowhere in the package.  They
+    # stay only because ``perfbench/tracing.py`` wraps them by name on
+    # ``EAX``; that tracer also wraps ``encrypt``/``decrypt``, so a call
+    # through a loop would count each message twice.
+
     def encrypt_batch(
         self, items: Sequence[tuple[bytes, bytes, bytes]]
     ) -> list[tuple[bytes, bytes]]:
-        """AEAD-Enc over a batch of ``(nonce, plaintext, header)`` triples.
-
-        Byte-for-byte equal to ``[self.encrypt(*item) for item in items]``
-        with identical per-item blockcipher invocation counts — batching
-        amortizes wall-clock overhead, never the Sect. 4 cost model.  This
-        default *is* the sequential loop; schemes with batchable structure
-        (OCB ⊕ PMAC) override it.
-        """
+        """AEAD-Enc over ``(nonce, plaintext, header)`` triples, in order."""
         return [
             self.encrypt(nonce, plaintext, header)
             for nonce, plaintext, header in items
@@ -62,13 +61,8 @@ class AEAD(ABC):
     def decrypt_batch(
         self, items: Sequence[tuple[bytes, bytes, bytes, bytes]]
     ) -> list[bytes]:
-        """AEAD-Dec over a batch of ``(nonce, ciphertext, tag, header)``.
-
-        Equal to ``[self.decrypt(*item) for item in items]`` on success.
-        Any verification failure raises the shared ``invalid`` error for
-        the whole batch; no plaintext from the batch escapes (eq. 22's
-        contract, applied batch-wide).
-        """
+        """AEAD-Dec over ``(nonce, ciphertext, tag, header)`` quadruples;
+        the first failure raises, as :meth:`decrypt` does."""
         return [
             self.decrypt(nonce, ciphertext, tag, header)
             for nonce, ciphertext, tag, header in items

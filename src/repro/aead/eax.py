@@ -25,8 +25,6 @@ block-cipher interface.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from repro.aead.base import AEAD
 from repro.primitives.blockcipher import BlockCipher
 from repro.primitives.util import constant_time_equal, gf_double
@@ -98,43 +96,19 @@ class EAX(AEAD):
     def _tag(self, value: int) -> bytes:
         return value.to_bytes(self._cipher.block_size, "big")[: self.tag_size]
 
-    def _seal(
-        self, nonce: bytes, plaintext: bytes, header: bytes
-    ) -> tuple[bytes, bytes]:
+    # -- AEAD interface --------------------------------------------------------
+
+    def encrypt(self, nonce: bytes, plaintext: bytes, header: bytes = b"") -> tuple[bytes, bytes]:
         self._check_nonce(nonce)
         n_mac = self._omac(0, nonce)
         h_mac = self._omac(1, header)
         ciphertext = self._ctr(n_mac, plaintext)
         return ciphertext, self._tag(n_mac ^ self._omac(2, ciphertext) ^ h_mac)
 
-    def _open(
-        self, nonce: bytes, ciphertext: bytes, tag: bytes, header: bytes
-    ) -> bytes:
+    def decrypt(self, nonce: bytes, ciphertext: bytes, tag: bytes, header: bytes = b"") -> bytes:
         self._check_nonce(nonce)
         n_mac = self._omac(0, nonce)
         expected = n_mac ^ self._omac(1, header) ^ self._omac(2, ciphertext)
         if not constant_time_equal(self._tag(expected), tag):
             raise self._invalid()
         return self._ctr(n_mac, ciphertext)
-
-    # -- AEAD interface --------------------------------------------------------
-
-    def encrypt(self, nonce: bytes, plaintext: bytes, header: bytes = b"") -> tuple[bytes, bytes]:
-        return self._seal(nonce, plaintext, header)
-
-    def decrypt(self, nonce: bytes, ciphertext: bytes, tag: bytes, header: bytes = b"") -> bytes:
-        return self._open(nonce, ciphertext, tag, header)
-
-    # The batch methods are the sequential loop, but over the private
-    # bodies: a wrapper patched onto ``encrypt``/``decrypt`` (as
-    # ``perfbench/tracing.py`` does) must see a batch as one call.
-
-    def encrypt_batch(
-        self, items: Sequence[tuple[bytes, bytes, bytes]]
-    ) -> list[tuple[bytes, bytes]]:
-        return [self._seal(*item) for item in items]
-
-    def decrypt_batch(
-        self, items: Sequence[tuple[bytes, bytes, bytes, bytes]]
-    ) -> list[bytes]:
-        return [self._open(*item) for item in items]

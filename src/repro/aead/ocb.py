@@ -21,8 +21,6 @@ plaintext block, +1 per header block).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from repro.aead.base import AEAD
 from repro.mac.pmac import PMAC
 from repro.primitives.blockcipher import BlockCipher
@@ -120,118 +118,3 @@ class OCB(AEAD):
         if not constant_time_equal(expected[: self.tag_size], tag):
             raise self._invalid()
         return plaintext
-
-    # -- batched AEAD interface ------------------------------------------------
-
-    def _core_many(
-        self, nonces: Sequence[bytes], datas: Sequence[bytes], decrypting: bool
-    ) -> tuple[list[bytes], list[bytes]]:
-        """Batched :meth:`_core`: the R offsets, every non-final block, the
-        pads, and the raw tags each go through the cipher as one batch.
-        Offsets are precomputable (they depend only on L and the block
-        index), which is what makes OCB "fully parallelizable" — the same
-        property that lets the batch path keep bytes and per-message
-        invocation counts identical to the sequential one."""
-        block = self.block_size
-        count = len(datas)
-        r_offsets = self._cipher.encrypt_blocks(
-            [xor_bytes_strict(nonce, self._l_zero) for nonce in nonces]
-        )
-        chunked = [split_blocks(data, block) if data else [b""] for data in datas]
-        offsets: list[list[bytes]] = []
-        for i in range(count):
-            offset = r_offsets[i]
-            per_chunk = []
-            for j in range(1, len(chunked[i]) + 1):
-                offset = xor_bytes_strict(offset, self._l(ntz(j)))
-                per_chunk.append(offset)
-            offsets.append(per_chunk)
-        inputs: list[bytes] = []
-        owners: list[tuple[int, int]] = []
-        for i in range(count):
-            for j, chunk in enumerate(chunked[i][:-1]):
-                inputs.append(xor_bytes_strict(chunk, offsets[i][j]))
-                owners.append((i, j))
-        transformed = (
-            self._cipher.decrypt_blocks(inputs)
-            if decrypting
-            else self._cipher.encrypt_blocks(inputs)
-        )
-        checksums = [bytes(block)] * count
-        outs = [bytearray() for _ in range(count)]
-        for (i, j), value in zip(owners, transformed):
-            masked = xor_bytes_strict(value, offsets[i][j])
-            if decrypting:
-                outs[i] += masked
-                checksums[i] = xor_bytes_strict(checksums[i], masked)
-            else:
-                checksums[i] = xor_bytes_strict(checksums[i], chunked[i][j])
-                outs[i] += masked
-        pad_inputs = []
-        for i in range(count):
-            length_block = int_to_bytes(len(chunked[i][-1]) * 8, block)
-            pad_inputs.append(
-                xor_bytes_strict(
-                    xor_bytes_strict(length_block, self._l_inv), offsets[i][-1]
-                )
-            )
-        pads = self._cipher.encrypt_blocks(pad_inputs)
-        tag_inputs = []
-        for i in range(count):
-            final = chunked[i][-1]
-            final_out = xor_bytes(final, pads[i][: len(final)])
-            outs[i] += final_out
-            final_cipher = final if decrypting else final_out
-            checksums[i] = xor_bytes_strict(
-                checksums[i],
-                xor_bytes_strict(final_cipher.ljust(block, b"\x00"), pads[i]),
-            )
-            tag_inputs.append(xor_bytes_strict(checksums[i], offsets[i][-1]))
-        raw_tags = self._cipher.encrypt_blocks(tag_inputs)
-        return [bytes(out) for out in outs], raw_tags
-
-    def _header_tags(self, headers: Sequence[bytes]) -> list[bytes]:
-        tags = [self._empty_header_tag] * len(headers)
-        live = [i for i, header in enumerate(headers) if header]
-        if live:
-            batch = self._pmac.tags_many([headers[i] for i in live])
-            for i, tag in zip(live, batch):
-                tags[i] = tag
-        return tags
-
-    def encrypt_batch(
-        self, items: Sequence[tuple[bytes, bytes, bytes]]
-    ) -> list[tuple[bytes, bytes]]:
-        if not items:
-            return []
-        for nonce, _, _ in items:
-            self._check_nonce(nonce)
-        ciphertexts, raw_tags = self._core_many(
-            [nonce for nonce, _, _ in items],
-            [plaintext for _, plaintext, _ in items],
-            decrypting=False,
-        )
-        header_tags = self._header_tags([header for _, _, header in items])
-        return [
-            (ciphertext, xor_bytes_strict(raw, header_tag)[: self.tag_size])
-            for ciphertext, raw, header_tag in zip(ciphertexts, raw_tags, header_tags)
-        ]
-
-    def decrypt_batch(
-        self, items: Sequence[tuple[bytes, bytes, bytes, bytes]]
-    ) -> list[bytes]:
-        if not items:
-            return []
-        for nonce, _, _, _ in items:
-            self._check_nonce(nonce)
-        plaintexts, raw_tags = self._core_many(
-            [nonce for nonce, *_ in items],
-            [ciphertext for _, ciphertext, _, _ in items],
-            decrypting=True,
-        )
-        header_tags = self._header_tags([header for *_, header in items])
-        for (_, _, tag, _), raw, header_tag in zip(items, raw_tags, header_tags):
-            expected = xor_bytes_strict(raw, header_tag)
-            if not constant_time_equal(expected[: self.tag_size], tag):
-                raise self._invalid()
-        return plaintexts

@@ -249,15 +249,13 @@ def bench_bulk_insert(
 def bench_batch_insert(
     label: str, config: EncryptionConfig, sizes: SizeProfile
 ) -> ScenarioResult:
-    """Insert R fully-sensitive rows in one :meth:`insert_many` batch.
+    """Insert R fully-sensitive rows with one :meth:`insert_many` call.
 
     Same workload (and same Sect. 4 formula check) as ``bulk_insert``,
-    through the batched hot path instead of the per-row loop: key
-    schedules, OMAC/PMAC subkey folds, and CTR keystreams are amortized
-    across the whole batch.  The blockcipher-invocation counters must
-    match the loop exactly — batching changes wall time, never cost
-    accounting — and the stored image is byte-identical (the CI
-    backend-parity matrix enforces both).
+    through ``insert_many`` instead of the per-row loop.  Both run every
+    cell through the same per-message path, so the blockcipher-invocation
+    counters match the loop's exactly and the stored image is
+    byte-identical (the CI backend-parity matrix checks the image).
     """
     db = _fresh_db(config)
     db.create_table(_SCHEMA)

@@ -22,7 +22,6 @@ Components:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.aead.base import AEAD, StoredEntry
@@ -85,55 +84,6 @@ class ColumnKeyedCellScheme(CellCodec):
             raise AuthenticationError("invalid") from None
         aead = self._aead_for(address.table, address.column)
         return aead.decrypt(entry.nonce, entry.ciphertext, entry.tag, address.encode())
-
-    def encode_cells(
-        self, items: Sequence[tuple[bytes, CellAddress]]
-    ) -> list[bytes]:
-        # Group by (table, column) so each column's AEAD sees one batch.
-        # Within a group the original list order is kept, so every
-        # per-column nonce counter advances exactly as the sequential
-        # loop would have advanced it.
-        grouped: dict[tuple[int, int], list[int]] = {}
-        for index, (_, address) in enumerate(items):
-            grouped.setdefault((address.table, address.column), []).append(index)
-        out: list[bytes] = [b""] * len(items)
-        for slot, indexes in grouped.items():
-            aead = self._aead_for(*slot)
-            nonces = self._nonces_for(*slot)
-            triples = [
-                (nonces.next(), items[i][0], items[i][1].encode()) for i in indexes
-            ]
-            sealed = aead.encrypt_batch(triples)
-            for i, (nonce, _, _), (ciphertext, tag) in zip(indexes, triples, sealed):
-                out[i] = StoredEntry(nonce, ciphertext, tag).to_bytes()
-        return out
-
-    def decode_cells(
-        self, items: Sequence[tuple[bytes, CellAddress]]
-    ) -> list[bytes]:
-        grouped: dict[tuple[int, int], list[int]] = {}
-        entries: list[StoredEntry] = []
-        for index, (stored, address) in enumerate(items):
-            try:
-                entries.append(StoredEntry.from_bytes(stored))
-            except ValueError:
-                raise AuthenticationError("invalid") from None
-            grouped.setdefault((address.table, address.column), []).append(index)
-        out: list[bytes] = [b""] * len(items)
-        for slot, indexes in grouped.items():
-            aead = self._aead_for(*slot)
-            quads = [
-                (
-                    entries[i].nonce,
-                    entries[i].ciphertext,
-                    entries[i].tag,
-                    items[i][1].encode(),
-                )
-                for i in indexes
-            ]
-            for i, plaintext in zip(indexes, aead.decrypt_batch(quads)):
-                out[i] = plaintext
-        return out
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,6 @@ Sect. 4, Security Analysis.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from repro.aead.base import AEAD, StoredEntry
 from repro.core.cellcrypto.base import CellScheme
 from repro.engine.table import CellAddress
@@ -50,34 +48,6 @@ class AeadCellScheme(CellScheme):
         return self._aead.decrypt(
             entry.nonce, entry.ciphertext, entry.tag, address.encode()
         )
-
-    def encode_cells(
-        self, items: Sequence[tuple[bytes, CellAddress]]
-    ) -> list[bytes]:
-        # Nonces are drawn in list order — exactly what the sequential
-        # loop would consume — then the whole batch goes through the
-        # AEAD's amortized path.
-        triples = [
-            (self._nonces.next(), plaintext, address.encode())
-            for plaintext, address in items
-        ]
-        sealed = self._aead.encrypt_batch(triples)
-        return [
-            StoredEntry(nonce, ciphertext, tag).to_bytes()
-            for (nonce, _, _), (ciphertext, tag) in zip(triples, sealed)
-        ]
-
-    def decode_cells(
-        self, items: Sequence[tuple[bytes, CellAddress]]
-    ) -> list[bytes]:
-        quads = []
-        for stored, address in items:
-            try:
-                entry = StoredEntry.from_bytes(stored)
-            except ValueError:
-                raise AuthenticationError("invalid") from None
-            quads.append((entry.nonce, entry.ciphertext, entry.tag, address.encode()))
-        return self._aead.decrypt_batch(quads)
 
     def storage_overhead(self) -> int:
         """Octets of per-cell overhead: nonce + tag (Sect. 4 metric)."""

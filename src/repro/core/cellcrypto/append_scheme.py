@@ -15,8 +15,6 @@ Sect. 3.1 defeats both of its goals when E is zero-IV CBC:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from repro.core.address import Mu, default_mu
 from repro.core.cellcrypto.base import CellScheme
 from repro.engine.table import CellAddress
@@ -56,28 +54,3 @@ class AppendScheme(CellScheme):
                 f"address checksum mismatch at {address!r}"
             )
         return value
-
-    def encode_cells(
-        self, items: Sequence[tuple[bytes, CellAddress]]
-    ) -> list[bytes]:
-        return self._mode.encrypt_many(
-            [plaintext + self._mu(address) for plaintext, address in items]
-        )
-
-    def decode_cells(
-        self, items: Sequence[tuple[bytes, CellAddress]]
-    ) -> list[bytes]:
-        decrypted = self._mode.decrypt_many([stored for stored, _ in items])
-        out = []
-        for (_, address), padded in zip(items, decrypted):
-            if len(padded) < self._mu.size:
-                raise AuthenticationError(
-                    "ciphertext too short for address checksum"
-                )
-            value, checksum = padded[: -self._mu.size], padded[-self._mu.size:]
-            if not constant_time_equal(checksum, self._mu(address)):
-                raise AuthenticationError(
-                    f"address checksum mismatch at {address!r}"
-                )
-            out.append(value)
-        return out

@@ -15,8 +15,6 @@ redundancy check.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from repro.core.address import Mu, default_mu
 from repro.core.cellcrypto.base import CellScheme, Validator, no_validator
 from repro.engine.table import CellAddress
@@ -62,26 +60,3 @@ class XorScheme(CellScheme):
                 f"at {address!r} (data looks invalid)"
             )
         return plaintext
-
-    def encode_cells(
-        self, items: Sequence[tuple[bytes, CellAddress]]
-    ) -> list[bytes]:
-        masked = [
-            xor_bytes(plaintext, self._mu(address)) for plaintext, address in items
-        ]
-        return self._mode.encrypt_many(masked)
-
-    def decode_cells(
-        self, items: Sequence[tuple[bytes, CellAddress]]
-    ) -> list[bytes]:
-        masked = self._mode.decrypt_many([stored for stored, _ in items])
-        out = []
-        for (_, address), value in zip(items, masked):
-            plaintext = xor_bytes(value, self._mu(address))
-            if not self._validator(plaintext):
-                raise DecryptionError(
-                    "XOR-scheme redundancy check failed "
-                    f"at {address!r} (data looks invalid)"
-                )
-            out.append(plaintext)
-        return out

@@ -69,12 +69,11 @@ def reencrypt(
     clone's own codecs; yields ``(kind, name, count)`` after each table
     (``"table"``, cells) and each index (``"index"``, entries).
 
-    A table's sensitive cells go through one ``decode_cells`` /
-    ``encode_cells`` pair in scan × column order, which is the order a
-    cell-by-cell loop draws nonces and IVs in.  An index's entries —
-    tombstones included, so no payload stays under the retired key —
-    are decoded by a codec ``old`` builds for the index and encoded by
-    the structure's own.
+    A table's sensitive cells are all decoded, then all encoded, cell by
+    cell in scan × column order, so nonces and IVs are drawn in that
+    order.  An index's entries — tombstones included, so no payload
+    stays under the retired key — are decoded by a codec ``old`` builds
+    for the index and encoded by the structure's own.
     """
     for table_name in clone.table_names:
         table = clone.table(table_name)
@@ -88,13 +87,11 @@ def reencrypt(
             for row_id, cells in table.scan()
             for position in sensitive
         ]
-        plaintexts = old.cell_codec.decode_cells(stored)
-        fresh = clone.cell_codec.encode_cells(
-            [
-                (plaintext, address)
-                for plaintext, (_, address) in zip(plaintexts, stored)
-            ]
-        )
+        plaintexts = [old.cell_codec.decode_cell(*item) for item in stored]
+        fresh = [
+            clone.cell_codec.encode_cell(plaintext, address)
+            for plaintext, (_, address) in zip(plaintexts, stored)
+        ]
         for (_, address), encoded in zip(stored, fresh):
             table.set_cell(address.row, address.column, encoded)
         yield "table", table_name, len(stored)

@@ -30,7 +30,8 @@ class SecureSession:
 
     The client constructs it with the database (which owns a KeyRing);
     inside the ``with`` block the server may execute queries.  On exit
-    the session closes and further queries raise :class:`SessionError`.
+    the session closes, the indexes drop every plaintext they verified,
+    and further queries raise :class:`SessionError`.
     The key ring itself survives (the *client* still has the keys); only
     the server-side handle dies.
     """
@@ -53,7 +54,13 @@ class SecureSession:
         self._open = True
 
     def close(self) -> None:
+        """End the session: every index forgets the plaintexts it verified
+        while the keys were on the server."""
         self._open = False
+        for name in self._db.index_names:
+            structure = self._db.index(name).structure
+            # The codec setter installs an empty verified-entry cache.
+            structure.codec = structure.codec
 
     @property
     def is_open(self) -> bool:

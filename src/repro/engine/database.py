@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.engine.btree import BPlusTree
@@ -50,18 +52,19 @@ class CellCodec(ABC):
         """Recover the canonical encoding; verifies whatever the scheme
         authenticates and raises on failure."""
 
-    def encode_cells(self, items: Sequence[tuple[bytes, CellAddress]]) -> list[bytes]:
-        """Batch encode: equal to ``[self.encode_cell(p, a) for p, a in items]``.
+    # The two batch names are plain loops over the per-cell methods,
+    # overridden nowhere and called from nowhere in the package.  They
+    # stay only because ``perfbench/tracing.py`` wraps them by name on
+    # ``AeadCellScheme``; that tracer also wraps the per-cell methods, so
+    # a call through a loop would count each cell twice.
 
-        Byte-for-byte, in list order — schemes that draw nonces or IVs
-        consume them in exactly the order the sequential loop would.
-        Overridden by schemes with a batchable crypto core.
-        """
+    def encode_cells(self, items: Sequence[tuple[bytes, CellAddress]]) -> list[bytes]:
+        """``encode_cell`` over ``(plaintext, address)`` pairs, in order."""
         return [self.encode_cell(plaintext, address) for plaintext, address in items]
 
     def decode_cells(self, items: Sequence[tuple[bytes, CellAddress]]) -> list[bytes]:
-        """Batch decode: equal to ``[self.decode_cell(s, a) for s, a in items]``
-        on success; any verification failure raises for the whole batch."""
+        """``decode_cell`` over ``(stored, address)`` pairs, in order; the
+        first failure raises, as :meth:`decode_cell` does."""
         return [self.decode_cell(stored, address) for stored, address in items]
 
 
@@ -198,14 +201,13 @@ class Database:
             raise SchemaError(f"unknown index kind {kind!r}")
         table = self.table(table_name)
         column_pos = table.schema.column_index(column_name)
-        fields = (name, table_name, column_name, kind, order, self.next_table_id)
-        # Not _write: the backfill decode runs between the hook and apply,
-        # so a cell that fails to decode leaves no empty index behind.
-        if self.write_ahead is not None:
-            self.write_ahead(OP_CREATE_INDEX, fields)
         row_ids = table.row_ids
-        plains = self._plain_cells_batch(table, row_ids, column_pos)
-        info = self.apply(OP_CREATE_INDEX, *fields)
+        # Decode before the record: a cell that fails leaves no index behind.
+        plains = [self._plain_cell(table, row_id, column_pos) for row_id in row_ids]
+        info = self._write(
+            OP_CREATE_INDEX, name, table_name, column_name, kind, order,
+            self.next_table_id,
+        )
         info.structure.bulk_build(list(zip(plains, row_ids)))
         return info
 
@@ -335,30 +337,26 @@ class Database:
     def insert_many(
         self, table_name: str, rows: Sequence[Sequence[Any]]
     ) -> list[int]:
-        """Bulk insert through the batched cell-codec path.
+        """Insert many typed rows; storage is byte-identical to
+        ``[self.insert(table_name, r) for r in rows]``.
 
-        Storage is byte-identical to ``[self.insert(table_name, r) for r in
-        rows]``: sensitive cells are batch-encoded against their rows' ids in
-        exactly the row-major order the sequential path uses — so nonce and
-        IV consumption matches — each row is one insert record, and index
-        maintenance runs per row in the same order.
+        Every row's cells are encoded first, row-major against the row ids
+        the records will take; then each row is one insert record, and
+        index maintenance runs per row in the same order.
         """
         table = self.table(table_name)
         encoded_rows = [table.schema.encode_row(values) for values in rows]
         row_ids = [table.next_row_id + n for n in range(len(encoded_rows))]
-        sensitive = [column.sensitive for column in table.schema.columns]
-        stored_batch = iter(self._encode_cells_batch(table, [
-            (cells[pos], table.address(row_id, pos))
+        stored_rows = [
+            [
+                self._stored_form(table, pos, plain, table.address(row_id, pos))
+                for pos, plain in enumerate(cells)
+            ]
             for row_id, cells in zip(row_ids, encoded_rows)
-            for pos in range(len(cells)) if sensitive[pos]
-        ]))
+        ]
         written = 0
         try:
-            for row_id, cells in zip(row_ids, encoded_rows):
-                stored = [
-                    next(stored_batch) if sensitive[pos] else plain
-                    for pos, plain in enumerate(cells)
-                ]
+            for row_id, stored in zip(row_ids, stored_rows):
                 self._write(OP_INSERT, table_name, row_id, stored)
                 written += 1
         finally:
@@ -589,37 +587,6 @@ class Database:
             return self._cell_codec.decode_cell(stored, address)
         return stored
 
-    def _encode_cells_batch(
-        self, table: Table, items: Sequence[tuple[bytes, CellAddress]]
-    ) -> list[bytes]:
-        """Batch-encode sensitive cells under one trace span."""
-        if TRACER.enabled:
-            with TRACER.span("cell.encrypt_batch", table=table.schema.name) as span:
-                stored = self._cell_codec.encode_cells(items)
-                span.add_cost("cells", len(items))
-                span.add_cost("plain_bytes", sum(len(p) for p, _ in items))
-                span.add_cost("stored_bytes", sum(len(s) for s in stored))
-                return stored
-        return self._cell_codec.encode_cells(items)
-
-    def _plain_cells_batch(
-        self, table: Table, row_ids: Sequence[int], column_pos: int
-    ) -> list[bytes]:
-        """Decode one column of many rows through the codec batch path."""
-        stored = [table.get_cell(row_id, column_pos) for row_id in row_ids]
-        if not table.schema.columns[column_pos].sensitive:
-            return stored
-        items = [
-            (cell, table.address(row_id, column_pos))
-            for cell, row_id in zip(stored, row_ids)
-        ]
-        if TRACER.enabled:
-            with TRACER.span("cell.decrypt_batch", table=table.schema.name) as span:
-                span.add_cost("cells", len(items))
-                span.add_cost("stored_bytes", sum(len(c) for c in stored))
-                return self._cell_codec.decode_cells(items)
-        return self._cell_codec.decode_cells(items)
-
     def _select(
         self,
         op: str,
@@ -629,7 +596,8 @@ class Database:
     ) -> list[tuple[int, list[Any]]]:
         """Rows whose ``column_name`` cell lies in the key interval that
         ``bounds`` makes of the column, in index order from the first
-        usable index, else in row order from a verified scan."""
+        usable index (equal keys in row order), else in row order from a
+        verified scan."""
         AUDIT.emit("query.begin", op=op, table=table_name, column=column_name)
         try:
             table = self.table(table_name)
@@ -637,8 +605,16 @@ class Database:
             indexes = self.indexes_on(table_name, column_name)
             if indexes:
                 hits = indexes[0].structure.range_search(low or b"", high)
+                # Equal keys answer in row order, whatever the index's
+                # history; distinct keys keep the index's order, so a
+                # tampered index's out-of-order answer stays visible.
+                row_ids = [
+                    row_id
+                    for _, run in groupby(hits, key=itemgetter(0))
+                    for row_id in sorted(row_id for _, row_id in run)
+                ]
                 return [
-                    (row_id, self.get_row(table_name, row_id)) for _, row_id in hits
+                    (row_id, self.get_row(table_name, row_id)) for row_id in row_ids
                 ]
             column_pos = table.schema.column_index(column_name)
             out = []

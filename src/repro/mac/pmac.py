@@ -61,37 +61,3 @@ class PMAC(MAC):
             padded = last + b"\x80" + bytes(block - len(last) - 1)
             checksum = xor_bytes_strict(checksum, padded)
         return self._cipher.encrypt_block(checksum)[: self.tag_size]
-
-    def tags_many(self, messages: list[bytes]) -> list[bytes]:
-        """Tag a batch of messages; equals ``[self.tag(m) for m in messages]``.
-
-        PMAC's non-final blocks are already parallel within one message;
-        this batches them *across* messages too (one cipher call for every
-        non-final block in the batch, one for all the final checksums),
-        with per-message invocation counts unchanged.
-        """
-        if not messages:
-            return []
-        block = self.block_size
-        chunked = [split_blocks(m, block) if m else [b""] for m in messages]
-        masked: list[bytes] = []
-        owners: list[int] = []
-        for index, blocks in enumerate(chunked):
-            offset = bytes(block)
-            for i, chunk in enumerate(blocks[:-1], start=1):
-                offset = xor_bytes_strict(offset, self._l(ntz(i)))
-                masked.append(xor_bytes_strict(chunk, offset))
-                owners.append(index)
-        checksums = [bytes(block)] * len(messages)
-        for owner, encrypted in zip(owners, self._cipher.encrypt_blocks(masked)):
-            checksums[owner] = xor_bytes_strict(checksums[owner], encrypted)
-        for index, blocks in enumerate(chunked):
-            last = blocks[-1]
-            if len(last) == block:
-                folded = xor_bytes_strict(last, self._l_inv)
-            else:
-                folded = last + b"\x80" + bytes(block - len(last) - 1)
-            checksums[index] = xor_bytes_strict(checksums[index], folded)
-        return [
-            tag[: self.tag_size] for tag in self._cipher.encrypt_blocks(checksums)
-        ]

@@ -11,7 +11,6 @@ conventional randomised form (``RandomIV``) for the ablation benches.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
 
 from repro.errors import BlockSizeError, NonceError
 from repro.observability.metrics import REGISTRY as _METRICS
@@ -161,80 +160,6 @@ class CipherMode(ABC):
             _TRACER.add_cost("cipher_calls_predicted", len(body) // self.block_size)
         padded = self.decrypt_blocks(body, iv)
         return self._padding.unpad(padded, self.block_size)
-
-    # -- batched message-level API -------------------------------------------
-
-    def encrypt_many(self, plaintexts: Sequence[bytes]) -> list[bytes]:
-        """Encrypt a batch of messages.
-
-        Byte-for-byte equal to ``[self.encrypt(p) for p in plaintexts]``:
-        IVs are drawn from the policy in list order, padding and metrics
-        are identical, and the predicted blockcipher cost charged to the
-        active trace span is the same sum.  Modes override
-        :meth:`_encrypt_aligned_many` to batch the underlying cipher calls.
-        """
-        plaintexts = list(plaintexts)
-        if _METRICS.enabled:
-            encrypts = _METRICS.counter(f"mode.{self.name}.encrypts")
-            sizes = _METRICS.histogram(f"mode.{self.name}.plaintext_bytes")
-            for plaintext in plaintexts:
-                encrypts.inc()
-                sizes.observe(len(plaintext))
-        block = self.block_size
-        ivs = [self._iv_policy.generate(block) for _ in plaintexts]
-        padded = [self._padding.pad(plaintext, block) for plaintext in plaintexts]
-        if _TRACER.enabled:
-            _TRACER.add_cost(
-                "cipher_calls_predicted", sum(len(p) // block for p in padded)
-            )
-        bodies = self._encrypt_aligned_many(padded, ivs)
-        if self._embed_iv:
-            return [iv + body for iv, body in zip(ivs, bodies)]
-        return bodies
-
-    def decrypt_many(self, ciphertexts: Sequence[bytes]) -> list[bytes]:
-        """Decrypt a batch of messages produced by :meth:`encrypt`."""
-        ciphertexts = list(ciphertexts)
-        if _METRICS.enabled:
-            decrypts = _METRICS.counter(f"mode.{self.name}.decrypts")
-            for _ in ciphertexts:
-                decrypts.inc()
-        block = self.block_size
-        ivs: list[bytes] = []
-        bodies: list[bytes] = []
-        for ciphertext in ciphertexts:
-            if self._embed_iv:
-                if len(ciphertext) < block:
-                    raise BlockSizeError("ciphertext shorter than embedded IV")
-                ivs.append(ciphertext[:block])
-                bodies.append(ciphertext[block:])
-            else:
-                ivs.append(self._iv_policy.generate(block))
-                bodies.append(ciphertext)
-        if _TRACER.enabled:
-            _TRACER.add_cost(
-                "cipher_calls_predicted", sum(len(b) // block for b in bodies)
-            )
-        padded = self._decrypt_aligned_many(bodies, ivs)
-        return [self._padding.unpad(p, block) for p in padded]
-
-    def _encrypt_aligned_many(
-        self, padded_plaintexts: Sequence[bytes], ivs: Sequence[bytes]
-    ) -> list[bytes]:
-        """Batch hook behind :meth:`encrypt_many`; defaults to a loop."""
-        return [
-            self.encrypt_blocks(padded, iv)
-            for padded, iv in zip(padded_plaintexts, ivs)
-        ]
-
-    def _decrypt_aligned_many(
-        self, ciphertexts: Sequence[bytes], ivs: Sequence[bytes]
-    ) -> list[bytes]:
-        """Batch hook behind :meth:`decrypt_many`; defaults to a loop."""
-        return [
-            self.decrypt_blocks(ciphertext, iv)
-            for ciphertext, iv in zip(ciphertexts, ivs)
-        ]
 
     # -- block-level API (used by the attack code) ----------------------------
 

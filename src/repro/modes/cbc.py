@@ -13,8 +13,6 @@ properties every attack relies on:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from repro.modes.base import CipherMode
 from repro.primitives.util import iter_blocks, xor_bytes_strict
 
@@ -23,55 +21,6 @@ class CBC(CipherMode):
     """CBC mode with a pluggable IV policy (zero IV by default, as in §3)."""
 
     name = "cbc"
-
-    # Batched variants.  Encryption is chained *within* a message but
-    # independent *across* messages, so the batch walks block index k of
-    # every still-active message in one wave per k — same bytes, same
-    # invocation count, one amortized cipher call per wave.  Decryption
-    # has no chain dependency at all and goes through in a single call.
-
-    def _encrypt_aligned_many(
-        self, padded_plaintexts: Sequence[bytes], ivs: Sequence[bytes]
-    ) -> list[bytes]:
-        block = self.block_size
-        for padded in padded_plaintexts:
-            self._check_aligned(padded)
-        previous = list(ivs)
-        outs = [bytearray() for _ in padded_plaintexts]
-        counts = [len(padded) // block for padded in padded_plaintexts]
-        for k in range(max(counts, default=0)):
-            active = [i for i, count in enumerate(counts) if k < count]
-            wave = [
-                xor_bytes_strict(
-                    padded_plaintexts[i][k * block : (k + 1) * block], previous[i]
-                )
-                for i in active
-            ]
-            for i, encrypted in zip(active, self._cipher.encrypt_blocks(wave)):
-                previous[i] = encrypted
-                outs[i] += encrypted
-        return [bytes(out) for out in outs]
-
-    def _decrypt_aligned_many(
-        self, ciphertexts: Sequence[bytes], ivs: Sequence[bytes]
-    ) -> list[bytes]:
-        block = self.block_size
-        flat: list[bytes] = []
-        for ciphertext in ciphertexts:
-            self._check_aligned(ciphertext)
-            flat.extend(iter_blocks(ciphertext, block))
-        decrypted = self._cipher.decrypt_blocks(flat)
-        outs: list[bytes] = []
-        cursor = 0
-        for ciphertext, iv in zip(ciphertexts, ivs):
-            out = bytearray()
-            previous = iv
-            for offset in range(0, len(ciphertext), block):
-                out += xor_bytes_strict(decrypted[cursor], previous)
-                previous = ciphertext[offset : offset + block]
-                cursor += 1
-            outs.append(bytes(out))
-        return outs
 
     def encrypt_blocks(self, padded_plaintext: bytes, iv: bytes) -> bytes:
         self._check_aligned(padded_plaintext)

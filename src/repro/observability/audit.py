@@ -286,31 +286,6 @@ class AuditingCellCodec:
         )
         return plaintext
 
-    # Batch methods need explicit overrides: ``__getattr__`` delegation
-    # would route them to the inner codec and silently skip every audit
-    # event.  Bytes are still the inner codec's batch output; events are
-    # emitted per cell in list order, same as the sequential loop.
-
-    def encode_cells(self, items) -> list[bytes]:
-        items = list(items)
-        stored_batch = self._inner.encode_cells(items)
-        for (_, address), stored in zip(items, stored_batch):
-            AUDIT.emit(
-                "cell.encrypt",
-                scheme=self.name,
-                table=address.table,
-                row=address.row,
-                col=address.column,
-                bytes=len(stored),
-                digests=block_digests(comparable_ciphertext(stored)),
-            )
-        return stored_batch
-
-    def decode_cells(self, items) -> list[bytes]:
-        # Decode sequentially so a failing cell emits its ok=False event
-        # exactly where the sequential path would.
-        return [self.decode_cell(stored, address) for stored, address in items]
-
 
 class AuditingIndexCodec:
     """Wraps an index-entry codec; emits ``index.encode`` events (node

@@ -167,34 +167,6 @@ class InstrumentedAEAD(AEAD):
             self._rejects.inc()
             raise
 
-    def encrypt_batch(
-        self, items: Sequence[tuple[bytes, bytes, bytes]]
-    ) -> list[tuple[bytes, bytes]]:
-        # Explicit override (see InstrumentedCipher): charge per item what
-        # the sequential loop would have charged, then take the inner
-        # AEAD's amortized path.
-        items = list(items)
-        for _, plaintext, header in items:
-            self._encrypts.inc()
-            self._plaintext_bytes.observe(len(plaintext))
-            if TRACER.enabled:
-                self._charge_prediction(len(plaintext), len(header))
-        return self._inner.encrypt_batch(items)
-
-    def decrypt_batch(
-        self, items: Sequence[tuple[bytes, bytes, bytes, bytes]]
-    ) -> list[bytes]:
-        items = list(items)
-        for _, ciphertext, _, header in items:
-            self._decrypts.inc()
-            if TRACER.enabled:
-                self._charge_prediction(len(ciphertext), len(header))
-        try:
-            return self._inner.decrypt_batch(items)
-        except Exception:
-            self._rejects.inc()
-            raise
-
     def _charge_prediction(self, payload_octets: int, header_octets: int) -> None:
         predicted = _overhead_mod().predicted_aead_invocations(
             self.name, payload_octets, header_octets

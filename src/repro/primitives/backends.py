@@ -14,9 +14,9 @@ Two backends ship:
     optimised for clarity; this is the default.
 
 ``optimized``
-    T-table AES with cached packed key schedules and batched block loops
-    (``aes_fast.py``).  DES/3DES have no optimized variant and fall back
-    to the reference classes.
+    T-table AES with cached packed key schedules (``aes_fast.py``).
+    DES/3DES have no optimized variant and fall back to the reference
+    classes.
 
 Byte-for-byte output equivalence between backends is a hard invariant:
 the golden-hash image tests and the ``repro backendparity`` CLI sweep

@@ -35,10 +35,9 @@ class BlockCipher(ABC):
         """Encrypt a batch of independent blocks.
 
         Byte-for-byte equal to ``[self.encrypt_block(b) for b in blocks]``;
-        this default *is* that loop.  Subclasses may override it to
-        amortize per-call overhead.  Each element of the batch still counts
-        as one blockcipher invocation in the paper's Sect. 4 cost model —
-        batching changes wall-clock time, never the invocation count.
+        this default *is* that loop.  EAX's CTR draws a message's
+        keystream through it.  Each element still counts as one
+        blockcipher invocation in the paper's Sect. 4 cost model.
         """
         encrypt_block = self.encrypt_block
         return [encrypt_block(block) for block in blocks]

@@ -184,10 +184,9 @@ def build_campaign_db(
 ) -> EncryptedDatabase:
     """A small fully-sensitive database with both index structures.
 
-    ``batched=True`` loads the rows through ``insert_many`` (the batched
-    crypto hot path) instead of the per-row loop; both paths must
-    produce byte-identical images — ``backendparity`` checks exactly
-    that.
+    ``batched=True`` loads the rows through ``insert_many`` instead of
+    the per-row loop; both must produce byte-identical images —
+    ``backendparity`` checks exactly that.
     """
     db = EncryptedDatabase(master_key, config)
     db.create_table(_SCHEMA)

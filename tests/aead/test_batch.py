@@ -1,10 +1,11 @@
-"""Batch AEAD APIs: ``encrypt_batch``/``decrypt_batch`` == the loop.
+"""Batch AEAD names: ``encrypt_batch``/``decrypt_batch`` == the loop.
 
-The batched paths amortize subkey precomputation and keystream setup
-but must be *observationally* sequential: byte-identical ciphertexts
-and tags in list order, identical blockcipher-invocation totals on the
-success path, and fail-closed tag verification.  Checked for every
-scheme in the catalogue under both cipher backends.
+``AEAD`` keeps the two names as plain loops over ``encrypt``/``decrypt``
+(``perfbench/tracing.py`` resolves them by name); no scheme overrides
+them.  These tests pin that they stay the loop: byte-identical
+ciphertexts and tags in list order, identical blockcipher-invocation
+totals, and fail-closed tag verification, for every scheme in the
+catalogue under both cipher backends.
 """
 
 import pytest

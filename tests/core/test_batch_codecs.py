@@ -1,9 +1,11 @@
-"""Batch cell-codec paths: ``encode_cells``/``decode_cells`` == the loop.
+"""Batch cell-codec names: ``encode_cells``/``decode_cells`` == the loop.
 
-For every campaign configuration and both cipher backends, a fresh
-codec driven through the batch API must emit exactly the bytes a twin
-codec emits through the per-cell loop — same nonce/IV draws, same
-stored entries, same plaintexts back.
+``CellCodec`` keeps the two names as plain loops over the per-cell
+methods (``perfbench/tracing.py`` resolves them by name); no codec
+overrides them.  For every campaign configuration and both cipher
+backends, a fresh codec driven through them must emit exactly the bytes
+a twin codec emits through the per-cell loop — same nonce/IV draws,
+same stored entries, same plaintexts back.
 """
 
 import pytest
@@ -68,8 +70,8 @@ def test_decode_cells_round_trips(label, backend, plaintexts):
 
 @pytest.mark.parametrize("label", LABELS)
 def test_per_column_grouping_preserves_nonce_order(label):
-    # Interleave three columns; batch grouping must advance each
-    # column's nonce counter exactly as the sequential loop would.
+    # Interleave three columns; each column's nonce counter must
+    # advance exactly as the sequential loop advances it.
     config = CONFIGS[label]
     if config.cell_scheme != "aead":
         pytest.skip("per-column keys are an AEAD-scheme feature")

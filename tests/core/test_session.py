@@ -45,6 +45,18 @@ def test_session_lifecycle():
     assert session.queries_executed == 1
 
 
+def test_closing_a_session_empties_every_index_cache():
+    db = build(rows=20, order=4)
+    structures = [db.index(name).structure for name in ("bt", "it")]
+    with SecureSession(db) as live:
+        for i in range(20):
+            assert live.execute(PointQuery("t", "k", i)).row_ids() == [i]
+        assert all(len(structure._verified) for structure in structures)
+    assert [len(structure._verified) for structure in structures] == [0, 0]
+    with SecureSession(db) as live:
+        assert live.execute(PointQuery("t", "k", 7)).row_ids() == [7]
+
+
 def test_session_cannot_be_opened_twice():
     db = build(rows=4)
     session = SecureSession(db)

@@ -28,7 +28,12 @@ from repro.durability.wal import (
 )
 from repro.engine.schema import Column, ColumnType, TableSchema
 from repro.engine.storage import dump_database
-from repro.errors import NoSuchRowError, NoSuchTableError, SchemaError
+from repro.errors import (
+    AuthenticationError,
+    NoSuchRowError,
+    NoSuchTableError,
+    SchemaError,
+)
 from repro.observability.audit import AUDIT
 from repro.observability.metrics import REGISTRY
 
@@ -235,6 +240,25 @@ def test_a_failed_record_leaves_written_rows_indexed():
         db.insert_many("t", [[1, "one"], [2, "two"]])
     assert db.table("t").row_ids == [0]
     assert db.select_equals("t", "k", 1) == [(0, [1, "one"])]
+
+
+def test_an_index_whose_backfill_fails_to_decode_is_never_journaled():
+    disk = MemoryDisk()
+    manager = open_encrypted(disk)
+    manager.create_table(SCHEMA)
+    manager.insert("t", [1, "one"])
+    manager.insert("t", [2, "two"])
+    table = manager.database.table("t")
+    stored = table.get_cell(1, 1)
+    table.set_cell(1, 1, stored[:-1] + bytes([stored[-1] ^ 1]))  # in memory only
+
+    with pytest.raises(AuthenticationError):
+        manager.create_index("t_v", "t", "v")
+    assert manager.last_seq == 3
+    assert manager.database.index_names == []
+    reopened = open_encrypted(MemoryDisk(disk.durable_state()))
+    assert reopened.recovery.records_replayed == 3
+    assert reopened.database.index_names == []
 
 
 def test_a_dropped_mount_frees_its_database_without_the_cycle_collector():

@@ -1,9 +1,10 @@
 """The one key-interval select behind every column query kind.
 
-Two pins the query path must keep whatever its shape: the Sect. 4
+Three pins the query path must keep whatever its shape: the Sect. 4
 blockcipher cost of the prefix and open-bound queries (point and range
-are pinned in tests/observability/test_profile.py), and the per-kind
-names in the audit stream and the ``db.query.<op>`` metrics.
+are pinned in tests/observability/test_profile.py), the per-kind names
+in the audit stream and the ``db.query.<op>`` metrics, and equal keys
+answered in row order whatever the index's history.
 """
 
 import contextlib
@@ -12,8 +13,9 @@ import pytest
 
 from repro import observability
 from repro.bench.scenarios import _populated_db
-from repro.core.encrypted_db import EncryptionConfig
+from repro.core.encrypted_db import EncryptedDatabase, EncryptionConfig
 from repro.engine.codec import uncached_index_entries
+from repro.engine.schema import Column, ColumnType, TableSchema
 from repro.engine.query import (
     AtLeastQuery,
     AtMostQuery,
@@ -144,3 +146,41 @@ def test_each_kind_keeps_its_audit_op_and_metric_name(op, query, column):
 def test_unknown_query_kind_is_rejected():
     with pytest.raises(SchemaError, match="unknown query kind 'between'"):
         ColumnQuery("records", "id", "between", (1, 2))
+
+
+def _keyed_db(kind):
+    db = EncryptedDatabase(
+        b"select-order-master-key-01234567", EncryptionConfig.paper_fixed("eax")
+    )
+    db.create_table(TableSchema("t", [
+        Column("k", ColumnType.INT),
+        Column("v", ColumnType.TEXT),
+    ]))
+    db.create_index("t_k", "t", "k", kind=kind, order=4)
+    return db
+
+
+def _row_ids(hits):
+    return [row_id for row_id, _ in hits]
+
+
+@pytest.mark.parametrize("kind", ["table", "btree"])
+def test_equal_keys_answer_in_row_order(kind):
+    # Three inserts of one key: the index table used to answer 2, 1, 0.
+    db = _keyed_db(kind)
+    for _ in range(3):
+        db.insert("t", [0, "x"])
+    assert _row_ids(db.select_equals("t", "k", 0)) == [0, 1, 2]
+
+    # An update to an equal key: the B+-tree used to answer 1, 0.
+    db = _keyed_db(kind)
+    db.insert("t", [0, "x"])
+    db.insert("t", [0, "y"])
+    db.update_value("t", 0, "k", 0)
+    assert _row_ids(db.select_equals("t", "k", 0)) == [0, 1]
+
+    # A range keeps key order and orders each run of equal keys by row.
+    db = _keyed_db(kind)
+    for key in (1, 0, 1, 0, 2):
+        db.insert("t", [key, "x"])
+    assert _row_ids(db.select_range("t", "k", 0, 1)) == [1, 3, 0, 2]
