@@ -3,8 +3,10 @@
 Sect. 2.1: "the server the DBMS runs on is temporarily trusted: During a
 secure session the encryption keys are handed over to the DBMS server,
 and securely removed at the end of the session."  :class:`SecureSession`
-enforces that lifecycle — queries outside an open session fail, and
-closing the session wipes the handed-over key material.
+models that lifecycle — queries through a closed session fail, and
+closing the session makes every index forget the plaintexts it verified.
+The key ring is not wiped: the database keeps its keys and still answers
+queries made on it directly, outside the session.
 
 Remark 1: the handover "might be avoided at the cost of additional
 running time and logarithmic many additional communication rounds

@@ -1,4 +1,4 @@
-"""Whole-database integrity audit.
+"""Whole-database integrity audit, and the one verifier behind it.
 
 The paper's schemes detect tampering lazily — at decryption time, cell
 by cell.  A deployment also wants an eager sweep: after restoring from
@@ -8,19 +8,27 @@ cell and every index entry (exercising each scheme's authentication)
 and cross-checks index contents against table contents, so a
 structurally-consistent-but-swapped index (footnote 1's silent failure
 mode) is also caught.
+
+It does so through two pieces that the resilient loader
+(:mod:`repro.robustness.recovery`) runs as well: :func:`sweep_rows`
+decodes each cell once and :func:`check_index` checks one index against
+the rows that verified.  They are the only code that decodes a
+database's cells and checks its indexes, so the eager audit and the
+salvage cannot disagree about what verifies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.engine.database import Database
+from repro.engine.database import Database, IndexInfo
 from repro.errors import CryptoError, EngineError
 
 
 #: Issue kinds shared by :class:`IntegrityReport` and the recovery
-#: loader's :class:`~repro.robustness.recovery.RecoveryReport`, so the
-#: eager audit and the resilient restore speak one vocabulary.
+#: loader's :class:`~repro.robustness.recovery.RecoveryReport` (one of
+#: its subclasses), so the eager audit and the resilient restore speak
+#: one vocabulary.
 ISSUE_KINDS = (
     "cell",               # a cell failed cryptographic verification
     "index-entry",        # an index entry failed verification / decode
@@ -31,6 +39,10 @@ ISSUE_KINDS = (
     "record-structural",  # a stored record could not even be framed
     "image-structural",   # the image itself is mis-framed / truncated
 )
+
+#: ``table -> row id -> plaintext cells`` of the rows that verified; a
+#: non-sensitive cell appears as stored.
+VerifiedRows = dict[str, dict[int, list[bytes]]]
 
 
 @dataclass
@@ -69,108 +81,130 @@ class IntegrityReport:
 def verify_database(db: Database) -> IntegrityReport:
     """Decode-and-cross-check everything; never raises on bad data."""
     report = IntegrityReport()
-    _verify_cells(db, report)
-    _verify_indexes(db, report)
-    return report
-
-
-def _verify_cells(db: Database, report: IntegrityReport) -> None:
-    for table_name in db.table_names:
-        table = db.table(table_name)
-        sensitive = [
-            position
-            for position, column in enumerate(table.schema.columns)
-            if column.sensitive
-        ]
-        for row_id, cells in table.scan():
-            for position in sensitive:
-                report.cells_checked += 1
-                address = table.address(row_id, position)
-                try:
-                    db.cell_codec.decode_cell(cells[position], address)
-                except CryptoError as exc:
-                    report.issues.append(IntegrityIssue(
-                        "cell",
-                        f"{table_name}(r={row_id}, c={position})",
-                        str(exc),
-                    ))
-
-
-def _verify_indexes(db: Database, report: IntegrityReport) -> None:
-    for index_name in db.index_names:
-        info = db.index(index_name)
+    verified, _ = sweep_rows(db, report)
+    for name in db.index_names:
+        info = db.index(name)
         if info.quarantined:
             # Recovery already pulled this index from service; record it
             # rather than re-deriving issues from a known-bad structure.
             report.issues.append(IntegrityIssue(
-                "index-quarantined", index_name,
+                "index-quarantined", name,
                 "index is quarantined pending rebuild",
             ))
             continue
-        table = db.table(info.table)
-        column_pos = table.schema.column_index(info.column)
+        expected = verified_pairs(db, info.table, info.column, verified)
+        check_index(info, expected, report)
+    return report
 
-        # 1. Every entry must decode (authenticity sweep).  Crypto
-        #    failures and structural failures (dangling or cyclic
-        #    references, mis-framed payloads) are distinct issue kinds so
-        #    downstream consumers (the fault campaign's detection matrix)
-        #    can attribute the detection to the right mechanism.
-        try:
-            info.structure.verify_all()
-        except CryptoError as exc:
-            report.issues.append(IntegrityIssue(
-                "index-entry", index_name, str(exc)
-            ))
-            # The structure is untrustworthy; skip the cross-check.
-            continue
-        except EngineError as exc:
-            report.issues.append(IntegrityIssue(
-                "index-structural", index_name, str(exc)
-            ))
-            continue
 
-        # 2. The leaf chain must be key-ordered (a payload swap preserves
-        #    the pair multiset but breaks this — footnote 1's failure mode).
-        try:
-            chain_pairs = info.structure.items()
-            report.index_entries_checked += len(chain_pairs)
-        except CryptoError as exc:
-            report.issues.append(IntegrityIssue(
-                "index-entry", index_name, f"enumeration failed: {exc}"
-            ))
-            continue
-        except EngineError as exc:
-            report.issues.append(IntegrityIssue(
-                "index-structural", index_name, f"enumeration failed: {exc}"
-            ))
-            continue
-        chain_keys = [key for key, _ in chain_pairs]
-        if chain_keys != sorted(chain_keys):
-            report.issues.append(IntegrityIssue(
-                "index-order", index_name, "leaf chain is not key-ordered"
-            ))
-        index_pairs = sorted(chain_pairs)
+def sweep_rows(
+    db: Database, report: IntegrityReport
+) -> tuple[VerifiedRows, dict[tuple[str, int], str]]:
+    """Decode every row's sensitive cells, each once, in column order.
 
-        # 3. Index contents must match the table exactly.
+    A row ends at its first failing cell: a :class:`CryptoError` is a
+    ``cell`` issue, any other exception a ``record-structural`` one.
+    Returns the verified rows and, keyed ``(table, row id)``, the issue
+    kind that ended each other row.
+    """
+    verified: VerifiedRows = {}
+    failed: dict[tuple[str, int], str] = {}
+    for table_name in db.table_names:
+        table = db.table(table_name)
+        verified[table_name] = {}
+        for row_id, cells in table.scan():
+            plain: list[bytes] = []
+            for position, stored in enumerate(cells):
+                if not table.schema.columns[position].sensitive:
+                    plain.append(stored)
+                    continue
+                report.cells_checked += 1
+                address = table.address(row_id, position)
+                try:
+                    plain.append(db.cell_codec.decode_cell(stored, address))
+                except Exception as exc:
+                    issue = _failure(
+                        "cell", "record-structural",
+                        f"{table_name}(r={row_id}, c={position})", exc,
+                    )
+                    report.issues.append(issue)
+                    failed[table_name, row_id] = issue.kind
+                    break
+            else:
+                verified[table_name][row_id] = plain
+    return verified, failed
 
-        expected = []
-        for row_id, _ in table.scan():
-            try:
-                stored = table.get_cell(row_id, column_pos)
-                if table.schema.columns[column_pos].sensitive:
-                    address = table.address(row_id, column_pos)
-                    plain = db.cell_codec.decode_cell(stored, address)
-                else:
-                    plain = stored
-                expected.append((plain, row_id))
-            except CryptoError:
-                # Already reported by the cell sweep.
-                continue
-        if index_pairs != sorted(expected):
-            missing = set(map(tuple, expected)) - set(map(tuple, index_pairs))
-            extra = set(map(tuple, index_pairs)) - set(map(tuple, expected))
-            report.issues.append(IntegrityIssue(
-                "index-mismatch",
-                index_name,
-                f"{len(missing)} missing, {len(extra)} unexpected entries",
-            ))
+
+def verified_pairs(
+    db: Database, table_name: str, column_name: str, verified: VerifiedRows
+) -> list[tuple[bytes, int]]:
+    """The (key, row id) pairs an index over the column must hold: one
+    per verified row.  Raises :class:`EngineError` for an unknown table
+    or column."""
+    position = db.table(table_name).schema.column_index(column_name)
+    return [
+        (cells[position], row_id)
+        for row_id, cells in verified[table_name].items()
+    ]
+
+
+def check_index(
+    info: IndexInfo, expected: list[tuple[bytes, int]], report: IntegrityReport
+) -> bool:
+    """Check one index against the pairs its verified rows imply.
+
+    Every entry must decode, the leaf chain must be key-ordered (a
+    payload swap keeps the pair multiset but breaks this — footnote 1's
+    failure mode) and the pairs must equal ``expected``.  Each problem
+    found becomes an issue; returns True when there is none.
+    """
+    # Crypto and structural failures (dangling or cyclic references,
+    # mis-framed payloads) are distinct issue kinds, so the fault
+    # campaign's detection matrix can credit the right mechanism.
+    name = info.name
+    try:
+        info.structure.verify_all()
+    except Exception as exc:
+        report.issues.append(
+            _failure("index-entry", "index-structural", name, exc)
+        )
+        return False
+    try:
+        pairs = info.structure.items()
+    except Exception as exc:
+        report.issues.append(_failure(
+            "index-entry", "index-structural", name, exc, "enumeration failed: "
+        ))
+        return False
+    report.index_entries_checked += len(pairs)
+    sound = True
+    keys = [key for key, _ in pairs]
+    if keys != sorted(keys):
+        report.issues.append(IntegrityIssue(
+            "index-order", name, "leaf chain is not key-ordered"
+        ))
+        sound = False
+    if sorted(pairs) != sorted(expected):
+        missing = set(expected) - set(pairs)
+        extra = set(pairs) - set(expected)
+        report.issues.append(IntegrityIssue(
+            "index-mismatch", name,
+            f"{len(missing)} missing, {len(extra)} unexpected entries",
+        ))
+        sound = False
+    return sound
+
+
+def _failure(
+    crypto_kind: str, other_kind: str, location: str, exc: Exception,
+    prefix: str = "",
+) -> IntegrityIssue:
+    """The issue one failed decode raised: ``crypto_kind`` for a
+    :class:`CryptoError`, ``other_kind`` for anything else."""
+    if isinstance(exc, CryptoError):
+        return IntegrityIssue(crypto_kind, location, f"{prefix}{exc}")
+    if isinstance(exc, EngineError):
+        return IntegrityIssue(other_kind, location, f"{prefix}{exc}")
+    return IntegrityIssue(
+        other_kind, location, f"{prefix}{type(exc).__name__}: {exc}"
+    )

@@ -18,18 +18,23 @@ salvage everything that still authenticates, quarantine everything that
 does not, and say precisely which is which.
 
 :func:`load_database_resilient` provides that policy.  It reports every
-anomaly as an issue, then does its own work: a cryptographic sweep of
-every cell and the settling of every index.  Its contract:
+anomaly as an issue, then verifies the parsed database through the
+eager audit's own pieces, :func:`repro.engine.integrity.sweep_rows` and
+:func:`repro.engine.integrity.check_index`, and keeps only its policy:
+the type-decode rule, removing quarantined rows, and rebuilding or
+quarantining indexes against the survivors.  Its contract:
 
 * it never raises on corrupted input — every record of the image ends in
   exactly one :class:`RecoveryReport` bucket:
 
   - ``ok`` — framed, decrypted, verified, and type-decoded;
-  - ``quarantined-crypto`` — framed, but a sensitive cell failed the
-    scheme's cryptographic verification (eq. 22's ``invalid``);
-  - ``quarantined-structural`` — the record itself (or the image region
-    holding it) could not be parsed or type-decoded, or it repeats an
-    earlier row or table;
+  - ``quarantined-crypto`` — framed, but the sweep found a sensitive
+    cell that failed the scheme's cryptographic verification (eq. 22's
+    ``invalid``);
+  - ``quarantined-structural`` — the parser found the record (or the
+    image region holding it) unparseable or a repeat of an earlier row
+    or table, the sweep's decode raised something other than a crypto
+    failure, or the salvage's type decode failed;
 
 * quarantined rows are removed from the loaded database, so every
   surviving read path serves only verified data;
@@ -51,12 +56,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.engine.btree import BPlusTree
 from repro.engine.database import CellCodec, Database, IndexCodecFactory
-from repro.engine.indextable import IndexTable
-from repro.engine.integrity import IntegrityIssue
+from repro.engine.integrity import (
+    IntegrityIssue,
+    IntegrityReport,
+    VerifiedRows,
+    check_index,
+    sweep_rows,
+    verified_pairs,
+)
 from repro.engine.storage import parse_image
-from repro.errors import CryptoError, EngineError
+from repro.errors import EngineError
 from repro.observability.audit import AUDIT as _AUDIT
 
 #: Per-record outcomes (the report's vocabulary, shared with docs/tests).
@@ -70,30 +80,27 @@ INDEX_REBUILT = "rebuilt"
 INDEX_QUARANTINED = "quarantined"
 INDEX_LOST = "lost"
 
+#: The row outcome for each issue kind that ends a row in the sweep.
+_QUARANTINE = {
+    "cell": OUTCOME_QUARANTINED_CRYPTO,
+    "record-structural": OUTCOME_QUARANTINED_STRUCTURAL,
+}
+
 
 @dataclass
-class RecoveryReport:
-    """Everything the resilient loader decided, record by record.
-
-    Issue kinds reuse the vocabulary of
-    :class:`~repro.engine.integrity.IntegrityReport`
-    (:data:`~repro.engine.integrity.ISSUE_KINDS`), so an eager audit and
-    a resilient restore read the same way.
-    """
+class RecoveryReport(IntegrityReport):
+    """An :class:`~repro.engine.integrity.IntegrityReport` of a salvaged
+    image, plus what the salvage decided record by record and index by
+    index."""
 
     row_outcomes: dict[str, str] = field(default_factory=dict)
     index_outcomes: dict[str, str] = field(default_factory=dict)
-    issues: list[IntegrityIssue] = field(default_factory=list)
     #: Rows declared by the image but unreachable behind a structural
     #: failure (their ids are unknown, so they cannot appear in
     #: ``row_outcomes``).
     rows_lost_structurally: int = 0
     #: False when a structural failure stopped the parse early.
     image_fully_parsed: bool = True
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
 
     def outcome_counts(self) -> dict[str, int]:
         counts = {
@@ -165,7 +172,7 @@ def load_database_resilient(
     )
     for where in parsed.duplicate_rows:
         report.row_outcomes[where] = OUTCOME_QUARANTINED_STRUCTURAL
-    survivors = _crypto_sweep(db, report)
+    survivors = _settle_rows(db, report)
     _settle_indexes(db, report, parsed.unbuilt, survivors, rebuild_indexes)
     _emit_recovery_events(report)
     return RecoveryResult(database=db, report=report)
@@ -188,86 +195,50 @@ def _emit_recovery_events(report: RecoveryReport) -> None:
     )
 
 
-# ---------------------------------------------------------------------------
-# Cryptographic sweep
-# ---------------------------------------------------------------------------
+def _settle_rows(db: Database, report: RecoveryReport) -> VerifiedRows:
+    """Sweep every row, remove each one that fails, return the survivors.
 
-def _crypto_sweep(
-    db: Database, report: RecoveryReport
-) -> dict[str, dict[int, list[bytes]]]:
-    """Verify every parsed row; quarantine failures; return survivors.
-
-    Survivors map ``table -> row_id -> plaintext cells`` (canonical byte
-    encodings after codec verification) — exactly the material index
-    rebuilds need.
+    On top of the sweep a verified row must also decode at the type
+    layer, or later reads would crash on it.
     """
-    survivors: dict[str, dict[int, list[bytes]]] = {}
-    for table_name in db.table_names:
+    verified, failed = sweep_rows(db, report)
+    for (table_name, row_id), kind in failed.items():
+        report.row_outcomes[f"{table_name}(r={row_id})"] = _QUARANTINE[kind]
+        db.table(table_name).delete_row(row_id)
+    for table_name, rows in verified.items():
         table = db.table(table_name)
-        survivors[table_name] = {}
-        for row_id in list(table.row_ids):
+        for row_id, plain in list(rows.items()):
             where = f"{table_name}(r={row_id})"
-            cells = table.get_row(row_id)
-            plain: list[bytes] = []
-            outcome = OUTCOME_OK
-            for position, stored in enumerate(cells):
-                if table.schema.columns[position].sensitive:
-                    address = table.address(row_id, position)
-                    try:
-                        plain.append(db.cell_codec.decode_cell(stored, address))
-                        continue
-                    except CryptoError as exc:
-                        outcome = OUTCOME_QUARANTINED_CRYPTO
-                        report.issues.append(IntegrityIssue(
-                            "cell", f"{where}c={position}", str(exc)
-                        ))
-                    except Exception as exc:
-                        outcome = OUTCOME_QUARANTINED_STRUCTURAL
-                        report.issues.append(IntegrityIssue(
-                            "record-structural", f"{where}c={position}",
-                            f"{type(exc).__name__}: {exc}",
-                        ))
-                    break
-                plain.append(stored)
-            if outcome == OUTCOME_OK:
-                # The row must also decode at the type layer, or later
-                # reads would crash on it.
-                try:
-                    table.schema.decode_row(plain)
-                except Exception as exc:
-                    outcome = OUTCOME_QUARANTINED_STRUCTURAL
-                    report.issues.append(IntegrityIssue(
-                        "record-structural", where,
-                        f"type decode failed: {type(exc).__name__}: {exc}",
-                    ))
-            report.row_outcomes[where] = outcome
-            if outcome == OUTCOME_OK:
-                survivors[table_name][row_id] = plain
+            try:
+                table.schema.decode_row(plain)
+            except Exception as exc:
+                report.issues.append(IntegrityIssue(
+                    "record-structural", where,
+                    f"type decode failed: {type(exc).__name__}: {exc}",
+                ))
+                report.row_outcomes[where] = OUTCOME_QUARANTINED_STRUCTURAL
+                table.delete_row(row_id)
+                del rows[row_id]
             else:
-                del table._rows[row_id]
-    return survivors
+                report.row_outcomes[where] = OUTCOME_OK
+    return verified
 
-
-# ---------------------------------------------------------------------------
-# Index verification / rebuild
-# ---------------------------------------------------------------------------
 
 def _settle_indexes(
     db: Database,
     report: RecoveryReport,
     unbuilt: list[tuple[str, str, str, str]],
-    survivors: dict[str, dict[int, list[bytes]]],
+    survivors: VerifiedRows,
     rebuild_indexes: bool,
 ) -> None:
+    """Keep each index that checks out against the survivors; rebuild
+    (or quarantine) every other one."""
     for name in db.index_names:
         info = db.index(name)
-        expected = _expected_pairs(db, info.table, info.column, survivors)
-        problem = _index_problem(info.structure, expected)
-        if problem is None:
+        expected = verified_pairs(db, info.table, info.column, survivors)
+        if check_index(info, expected, report):
             report.index_outcomes[name] = INDEX_OK
-            continue
-        report.issues.append(IntegrityIssue(problem[0], name, problem[1]))
-        if rebuild_indexes:
+        elif rebuild_indexes:
             db.rebuild_index(name, expected, fresh_id=True)
             report.index_outcomes[name] = INDEX_REBUILT
         else:
@@ -277,55 +248,16 @@ def _settle_indexes(
     # Indexes the parser could not build: rebuilt from the survivors when
     # their table and column exist, lost otherwise.
     for name, table, column, kind in unbuilt:
-        expected = _expected_pairs(db, table, column, survivors)
-        if expected is not None:
-            report.issues.append(IntegrityIssue(
-                "index-structural", name, "index body unusable in image",
-            ))
-        if expected is None or not rebuild_indexes:
+        try:
+            expected = verified_pairs(db, table, column, survivors)
+        except EngineError:
+            report.index_outcomes[name] = INDEX_LOST
+            continue
+        report.issues.append(IntegrityIssue(
+            "index-structural", name, "index body unusable in image",
+        ))
+        if not rebuild_indexes:
             report.index_outcomes[name] = INDEX_LOST
             continue
         db.register_index(name, table, column, kind).structure.bulk_build(expected)
         report.index_outcomes[name] = INDEX_REBUILT
-
-
-def _expected_pairs(
-    db: Database,
-    table_name: str,
-    column_name: str,
-    survivors: dict[str, dict[int, list[bytes]]],
-) -> list[tuple[bytes, int]] | None:
-    """(value, row_id) pairs the index should hold, from surviving rows."""
-    try:
-        column_pos = db.table(table_name).schema.column_index(column_name)
-    except EngineError:
-        return None
-    return [
-        (cells[column_pos], row_id)
-        for row_id, cells in sorted(survivors.get(table_name, {}).items())
-    ]
-
-
-def _index_problem(
-    structure: IndexTable | BPlusTree, expected: list[tuple[bytes, int]]
-) -> tuple[str, str] | None:
-    """None when the index verifies and matches the table, else
-    (issue kind, detail)."""
-    try:
-        structure.verify_all()
-        pairs = structure.items()
-    except CryptoError as exc:
-        return "index-entry", str(exc)
-    except EngineError as exc:
-        return "index-structural", str(exc)
-    except Exception as exc:
-        return "index-structural", f"{type(exc).__name__}: {exc}"
-    keys = [key for key, _ in pairs]
-    if keys != sorted(keys):
-        return "index-order", "leaf chain is not key-ordered"
-    if sorted(pairs) != sorted(expected):
-        return "index-mismatch", (
-            f"index holds {len(pairs)} pair(s), "
-            f"surviving rows imply {len(expected)}"
-        )
-    return None

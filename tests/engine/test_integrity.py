@@ -31,6 +31,23 @@ def test_clean_database_passes():
     assert "OK" in str(report)
 
 
+def test_audit_decodes_each_cell_once(monkeypatch):
+    db = build()
+    codec = db.cell_codec
+    decode = codec.decode_cell
+    calls = []
+
+    def counting(stored, address):
+        calls.append(address)
+        return decode(stored, address)
+
+    monkeypatch.setattr(codec, "decode_cell", counting)
+    report = verify_database(db)
+    assert report.cells_checked == 24
+    assert len(calls) == 24
+    assert len(set(calls)) == 24
+
+
 def test_tampered_cell_reported_with_location():
     db = build()
     storage = db.storage_view()

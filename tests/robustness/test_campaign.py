@@ -56,3 +56,26 @@ def test_matrix_mentions_every_configuration_and_outcome():
     assert APPEND[0] in matrix and EAX[0] in matrix
     for outcome in CAMPAIGN_OUTCOMES:
         assert outcome in matrix
+
+
+#: The full campaign at eight seeds (every fault kind against every
+#: configuration), as the eager audit and the resilient loader classify
+#: it.  Any change to either verifier that moves a verdict or a
+#: salvaged row shows up here.
+PINNED_MATRIX = """\
+fault-injection detection matrix (8 seeded faults per configuration, 4-row database)
+configuration               detected-by-MAC  detected-structurally  silent-corruption  no-effect  loader-crash
+--------------------------  ---------------  ---------------------  -----------------  ---------  ------------
+plaintext baseline          0                4                      3                  1          0
+[3] XOR-Scheme              0                4                      2                  2          0
+[3] Append-Scheme           1                4                      2                  1          0
+[12] index (+append cells)  1                5                      1                  1          0
+fixed AEAD (EAX)            4                4                      0                  0          0
+fixed AEAD (OCB)            4                4                      0                  0          0"""
+
+
+def test_eight_seed_campaign_matrix_and_salvage_are_pinned():
+    result = run_campaign(seeds=8, rows=4)
+    assert result.format_matrix() == PINNED_MATRIX
+    assert sum(r.rows_recovered for r in result.records) == 134
+    assert sum(r.rows_quarantined for r in result.records) == 58

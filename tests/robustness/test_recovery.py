@@ -5,6 +5,9 @@ import struct
 import pytest
 
 from repro.core.encrypted_db import EncryptedDatabase, EncryptionConfig
+from repro.durability.manager import CKPT_UNAUTHENTICATED, DurableDatabase
+from repro.durability.vdisk import MemoryDisk
+from repro.durability.wal import CHECKPOINT_BLOB, journal_mac
 from repro.engine.query import PointQuery, RangeQuery
 from repro.engine.schema import Column, ColumnType, TableSchema
 from repro.engine.storage import dump_database, load_database
@@ -161,6 +164,48 @@ def test_resilient_loader_never_raises_on_faulted_images(label, config):
     for spec in plan_faults(image, 25):
         result = resilient(spec.apply(image), config)
         assert result.report is not None, spec.name
+
+
+XOR = EncryptionConfig(cell_scheme="xor", index_scheme="sdm2004", iv_policy="zero")
+
+
+def mount(disk: MemoryDisk, config: EncryptionConfig) -> DurableDatabase:
+    keys = EncryptedDatabase(MASTER, config)
+    return DurableDatabase.open(
+        disk, journal_mac(keys.keys),
+        cell_codec=keys.cell_codec,
+        index_codec_factory=keys._build_index_codec,
+    )
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(XOR, marks=pytest.mark.xfail(strict=True, reason=(
+        "the salvage type-decodes the XOR-Scheme's zero-extended "
+        "plaintexts and quarantines every row of a clean image"
+    ))),
+    EncryptionConfig.paper_fixed("eax"),
+], ids=["xor", "eax"])
+def test_checkpoint_salvage_keeps_every_authentic_row(config):
+    # One flipped bit in the checkpoint's trailing MAC tag leaves every
+    # cell intact, yet fails the checkpoint, so the mount salvages its
+    # image and folds the result into a fresh checkpoint.
+    disk = MemoryDisk()
+    writer = mount(disk, config)
+    writer.create_table(SCHEMA)
+    for i in range(5):
+        writer.insert("t", [i, f"value-{i}"])
+    writer.checkpoint()
+    disk = MemoryDisk(disk.durable_state())
+    blob = bytearray(disk.read(CHECKPOINT_BLOB))
+    blob[-1] ^= 0x01
+    disk.write(CHECKPOINT_BLOB, bytes(blob))
+    disk.sync(CHECKPOINT_BLOB)
+
+    salvaged = mount(disk, config)
+    assert salvaged.recovery.checkpoint == CKPT_UNAUTHENTICATED
+    assert salvaged.recovery.resilient is not None
+    later = mount(MemoryDisk(disk.durable_state()), config)
+    assert later.database.table("t").row_ids == list(range(5))
 
 
 def test_resilient_matches_strict_on_clean_images():
