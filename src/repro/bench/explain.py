@@ -21,7 +21,7 @@ from repro.bench.scenarios import (
     supports_typed_reads,
 )
 from repro.core.encrypted_db import EncryptionConfig
-from repro.engine.codec import uncached_index_entries
+from repro.engine.codec import uncached
 from repro.engine.query import PointQuery, RangeQuery
 from repro.observability.profile import (
     QueryProfile,
@@ -60,8 +60,8 @@ def trace_scenario(
     every captured trace roots at a ``query.*`` span, but the codecs are
     built with observability already enabled — the instrumented
     primitives are what attach measured and predicted cipher costs.
-    No index entry is remembered between decodes, so each query pays
-    the paper's full per-query cost.
+    No index entry or cell is remembered between decodes, so each query
+    pays the paper's full per-query cost.
     """
     if scenario not in EXPLAIN_SCENARIOS:
         raise ValueError(f"unknown explain scenario {scenario!r}")
@@ -72,7 +72,7 @@ def trace_scenario(
     was_enabled = observability.enabled()
     observability.enable()
     try:
-        with uncached_index_entries():
+        with uncached():
             observability.reset()
             db = _populated_db(config, _ROWS, with_indexes=True)
             observability.reset()  # drop construction spans, keep instrumented codecs

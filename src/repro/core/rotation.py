@@ -137,12 +137,13 @@ def rotate_master_key(
     for kind, _, count in reencrypt(clone, db):
         counts[kind] += count
 
-    # The swap: each IndexInfo stays, with its quarantine flag.
+    # The swap: each IndexInfo stays, with its quarantine flag, and the
+    # cell codec's setter leaves no plaintext the old key verified.
     old_keys = db.keys
     db._tables = clone._tables
     for index_name in db.index_names:
         db.index(index_name).structure = clone.index(index_name).structure
-    db.keys, db._rng, db._cell_codec = new.keys, new._rng, new.cell_codec
+    db.keys, db._rng, db.cell_codec = new.keys, new._rng, new.cell_codec
     old_keys.wipe()
     return RotationReport(
         counts["table"], counts["index"], len(db.table_names), len(db.index_names)

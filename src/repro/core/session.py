@@ -4,7 +4,8 @@ Sect. 2.1: "the server the DBMS runs on is temporarily trusted: During a
 secure session the encryption keys are handed over to the DBMS server,
 and securely removed at the end of the session."  :class:`SecureSession`
 models that lifecycle — queries through a closed session fail, and
-closing the session makes every index forget the plaintexts it verified.
+closing the session makes the database's cells and every index forget
+the plaintexts they verified.
 The key ring is not wiped: the database keeps its keys and still answers
 queries made on it directly, outside the session.
 
@@ -32,8 +33,8 @@ class SecureSession:
 
     The client constructs it with the database (which owns a KeyRing);
     inside the ``with`` block the server may execute queries.  On exit
-    the session closes, the indexes drop every plaintext they verified,
-    and further queries raise :class:`SessionError`.
+    the session closes, the cells and indexes drop every plaintext they
+    verified, and further queries raise :class:`SessionError`.
     The key ring itself survives (the *client* still has the keys); only
     the server-side handle dies.
     """
@@ -56,12 +57,14 @@ class SecureSession:
         self._open = True
 
     def close(self) -> None:
-        """End the session: every index forgets the plaintexts it verified
-        while the keys were on the server."""
+        """End the session: the database's cells and every index forget
+        the plaintexts they verified while the keys were on the server."""
         self._open = False
-        for name in self._db.index_names:
-            structure = self._db.index(name).structure
-            # The codec setter installs an empty verified-entry cache.
+        db = self._db
+        # Each codec setter installs an empty verified-plaintext cache.
+        db.cell_codec = db.cell_codec
+        for name in db.index_names:
+            structure = db.index(name).structure
             structure.codec = structure.codec
 
     @property

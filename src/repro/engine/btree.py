@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterator
 
-from repro.engine.codec import EntryRefs, IndexEntryCodec, VerifiedEntries
+from repro.engine.codec import EntryRefs, IndexEntryCodec, VerifiedPlaintexts
 from repro.errors import IndexCorruptionError, NoSuchRowError
 from repro.observability.audit import AUDIT as _AUDIT
 from repro.observability.metrics import REGISTRY as _METRICS
@@ -89,12 +89,13 @@ class BPlusTree:
 
     @property
     def codec(self) -> IndexEntryCodec:
-        return self._verified.codec
+        return self._codec
 
     @codec.setter
     def codec(self, codec: IndexEntryCodec) -> None:
         # Nothing verified under the old codec's key carries over.
-        self._verified = VerifiedEntries(codec)
+        self._codec = codec
+        self._verified = VerifiedPlaintexts("index.entry_cache")
 
     def _new_node(self, is_leaf: bool) -> BNode:
         node = BNode(node_id=self._next_node, is_leaf=is_leaf)
@@ -139,14 +140,18 @@ class BPlusTree:
 
     def _decode_slot(self, node: BNode, slot: int) -> tuple[bytes, int | None]:
         return self._verified.decode(
-            node.entries[slot].payload, self.entry_refs(node, slot)
+            node.entries[slot].payload, self.entry_refs(node, slot),
+            self._codec.decode,
         )
 
     def _decode_slot_query(
         self, node: BNode, slot: int
     ) -> tuple[bytes, int | None]:
-        return self._verified.decode_for_query(
-            node.entries[slot].payload, self.entry_refs(node, slot), node.is_leaf
+        codec, at_leaf = self._codec, node.is_leaf
+        return self._verified.decode(
+            node.entries[slot].payload, self.entry_refs(node, slot),
+            lambda payload, refs: codec.decode_for_query(payload, refs, at_leaf),
+            codec.verifies_at_query(at_leaf),
         )
 
     def _decode_node(self, node: BNode) -> list[_Logical]:
@@ -157,9 +162,14 @@ class BPlusTree:
 
     def _encode_node(self, node: BNode, logicals: list[_Logical]) -> None:
         node.entries = [BEntry(item.row_id, b"") for item in logicals]
+        codec = self._codec
         for slot, item in enumerate(logicals):
-            node.entries[slot].payload = self._verified.encode(
-                item.key, item.table_row, self.entry_refs(node, slot)
+            refs = self.entry_refs(node, slot)
+            payload = codec.encode(item.key, item.table_row, refs)
+            node.entries[slot].payload = payload
+            # The codec just made these bytes from this plaintext.
+            self._verified.remember(
+                payload, refs, codec.logical(item.key, item.table_row, refs)
             )
 
     # -- mutation ----------------------------------------------------------

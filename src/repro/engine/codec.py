@@ -7,8 +7,9 @@ index").  The structures in :mod:`repro.engine.indextable` and
 :mod:`repro.engine.btree` therefore delegate all payload handling to an
 :class:`IndexEntryCodec`, and the concrete schemes live in
 :mod:`repro.core.indexcrypto`.  Each structure remembers a bounded number
-of the plaintexts it verified (:class:`VerifiedEntries`), so an unchanged
-entry is decoded once rather than on every walk past it.
+of the plaintexts it verified (:class:`VerifiedPlaintexts`, which the
+database also keeps for its cells), so an unchanged entry is decoded once
+rather than on every walk past it.
 """
 
 from __future__ import annotations
@@ -17,16 +18,13 @@ from abc import ABC, abstractmethod
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Any, Callable, Hashable, Iterator
 
 from repro.observability.metrics import REGISTRY as _METRICS
 
-#: Verified entries each index structure remembers (least recently used
-#: first out).
+#: Verified plaintexts each index structure and each database's cells
+#: remember (least recently used first out).
 VERIFIED_ENTRIES_BOUND = 256
-
-_ENTRY_CACHE_HITS = _METRICS.counter("index.entry_cache.hits")
-_ENTRY_CACHE_MISSES = _METRICS.counter("index.entry_cache.misses")
 
 
 @dataclass(frozen=True)
@@ -92,7 +90,7 @@ class IndexEntryCodec(ABC):
 
         A codec whose query decode skips verification somewhere must say
         so here: only verified plaintexts may enter a structure's
-        :class:`VerifiedEntries`.
+        :class:`VerifiedPlaintexts`.
         """
         return True
 
@@ -124,12 +122,13 @@ _uncached = False
 
 
 @contextmanager
-def uncached_index_entries() -> Iterator[None]:
-    """Bypass every :class:`VerifiedEntries` while the block runs.
+def uncached() -> Iterator[None]:
+    """Bypass every :class:`VerifiedPlaintexts` while the block runs.
 
     Lookups, fills and the hit/miss counters all stop, process-wide, so
-    each query decodes every entry it reads: the paper's cold per-query
-    cost, which ``explain`` and the health monitor report.
+    each query decodes every index entry and cell it reads: the paper's
+    cold per-query cost, which ``explain``, ``trace``, the health monitor
+    and the audited leakage profile report.
     """
     global _uncached
     previous, _uncached = _uncached, True
@@ -139,84 +138,74 @@ def uncached_index_entries() -> Iterator[None]:
         _uncached = previous
 
 
-class VerifiedEntries:
-    """An index codec plus a bounded LRU map from (stored payload, refs)
-    to the plaintext it verified.
+class VerifiedPlaintexts:
+    """A bounded LRU map from (stored bytes, binding) to the plaintext a
+    codec verified there.
 
-    Every scheme here decodes deterministically: the plaintext is a
-    function of the key, the payload and its :class:`EntryRefs`, which
-    the AEAD fix binds as associated data (eqs. 25–26).  So a remembered
-    plaintext is exactly what decoding the same bytes at the same place
-    again would return.  A tampered, swapped or relinked entry has other
-    bytes or refs, misses, and reaches the codec.  Only paths that verify
-    fill the map: an encode (the codec just made those bytes from that
-    plaintext), a successful :meth:`decode`, and a query decode at a
-    level where the codec verifies.  An index structure replaces its
-    instance together with its codec, so no plaintext outlives the key
-    that verified it.  Nothing here is ever written to storage.
+    The binding is everything the codec binds besides its key: an index
+    entry's :class:`EntryRefs` (associated data of eqs. 25–26) or a
+    cell's address (eqs. 23–24).  Every scheme here decodes
+    deterministically from the key, the stored bytes and the binding, so
+    a remembered plaintext is exactly what decoding the same bytes at the
+    same place again would return.  A tampered, swapped or relinked
+    payload has other bytes or another binding, misses, and reaches the
+    codec.  Only verifying paths fill the map; a decode that raises is
+    never remembered.  Whoever holds an instance replaces it together
+    with its codec, so no plaintext outlives the key that verified it.
+    Nothing here is ever written to storage.
 
+    ``counters`` names the ``.hits``/``.misses`` counter pair.
     Concurrent readers may race on one entry; the loser counts a miss
     and decodes.
     """
 
-    __slots__ = ("codec", "_entries")
+    __slots__ = ("_entries", "_hits", "_misses")
 
-    def __init__(self, codec: IndexEntryCodec) -> None:
-        self.codec = codec
-        self._entries: OrderedDict[
-            tuple[bytes, EntryRefs], tuple[bytes, int | None]
-        ] = OrderedDict()
+    def __init__(self, counters: str) -> None:
+        self._entries: OrderedDict[tuple[bytes, Hashable], Any] = OrderedDict()
+        self._hits = _METRICS.counter(counters + ".hits")
+        self._misses = _METRICS.counter(counters + ".misses")
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _lookup(
-        self, payload: bytes, refs: EntryRefs
-    ) -> tuple[bytes, int | None] | None:
-        entry = (payload, refs)
-        try:
-            plain = self._entries[entry]
-            self._entries.move_to_end(entry)
-        except KeyError:  # absent, or evicted by another thread meanwhile
-            _ENTRY_CACHE_MISSES.inc()
-            return None
-        _ENTRY_CACHE_HITS.inc()
+    def decode(
+        self,
+        stored: bytes,
+        binding: Hashable,
+        decode: Callable[[bytes, Any], Any],
+        verified: bool = True,
+    ) -> Any:
+        """``decode(stored, binding)``, answered from the map when it holds
+        the pair.  A miss remembers the result only if ``verified``: the
+        decode checked what the scheme authenticates."""
+        if _uncached:
+            return decode(stored, binding)
+        entries = self._entries
+        entry = (stored, binding)
+        plain = entries.get(entry)
+        if plain is not None:
+            try:
+                entries.move_to_end(entry)
+            except KeyError:  # evicted by another thread meanwhile
+                plain = None
+        if plain is None:
+            self._misses.inc()
+            plain = decode(stored, binding)
+            if verified:
+                self.remember(stored, binding, plain)
+        else:
+            self._hits.inc()
         return plain
 
-    def _remember(
-        self, payload: bytes, refs: EntryRefs, plain: tuple[bytes, int | None]
-    ) -> None:
+    def remember(self, stored: bytes, binding: Hashable, plain: Any) -> None:
+        """Hold ``plain`` as what decoding ``stored`` at ``binding`` returns."""
+        if _uncached:
+            return
         entries = self._entries
-        entries[(payload, refs)] = plain
+        entries[(stored, binding)] = plain
         try:
             while len(entries) > VERIFIED_ENTRIES_BOUND:
                 entries.popitem(last=False)
         except KeyError:  # another thread emptied it first
             pass
-
-    def encode(self, key: bytes, table_row: int | None, refs: EntryRefs) -> bytes:
-        payload = self.codec.encode(key, table_row, refs)
-        if not _uncached:
-            self._remember(payload, refs, self.codec.logical(key, table_row, refs))
-        return payload
-
-    def decode(self, payload: bytes, refs: EntryRefs) -> tuple[bytes, int | None]:
-        if _uncached:
-            return self.codec.decode(payload, refs)
-        plain = self._lookup(payload, refs)
-        if plain is None:
-            plain = self.codec.decode(payload, refs)
-            self._remember(payload, refs, plain)
-        return plain
-
-    def decode_for_query(
-        self, payload: bytes, refs: EntryRefs, at_leaf: bool
-    ) -> tuple[bytes, int | None]:
-        if _uncached:
-            return self.codec.decode_for_query(payload, refs, at_leaf)
-        plain = self._lookup(payload, refs)
-        if plain is None:
-            plain = self.codec.decode_for_query(payload, refs, at_leaf)
-            if self.codec.verifies_at_query(at_leaf):
-                self._remember(payload, refs, plain)
-        return plain

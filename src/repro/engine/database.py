@@ -23,7 +23,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.engine.btree import BPlusTree
-from repro.engine.codec import IndexEntryCodec, PlainEntryCodec
+from repro.engine.codec import IndexEntryCodec, PlainEntryCodec, VerifiedPlaintexts
 from repro.engine.indextable import IndexTable
 from repro.engine.schema import Column, ColumnType, TableSchema
 from repro.engine.table import CellAddress, Table
@@ -135,7 +135,7 @@ class Database:
         cell_codec: CellCodec | None = None,
         index_codec_factory: IndexCodecFactory | None = None,
     ) -> None:
-        self._cell_codec = cell_codec if cell_codec is not None else PlainCellCodec()
+        self.cell_codec = cell_codec if cell_codec is not None else PlainCellCodec()
         self._index_codec_factory = index_codec_factory or (
             lambda index_table_id, table_id, column_pos: PlainEntryCodec()
         )
@@ -148,7 +148,15 @@ class Database:
 
     @property
     def cell_codec(self) -> CellCodec:
+        """The raw codec: a decode through it is never answered from the
+        database's verified cell plaintexts."""
         return self._cell_codec
+
+    @cell_codec.setter
+    def cell_codec(self, codec: CellCodec) -> None:
+        # Nothing verified under the old codec's key carries over.
+        self._cell_codec = codec
+        self._verified_cells = VerifiedPlaintexts("db.cell_cache")
 
     @property
     def next_table_id(self) -> int:
@@ -577,15 +585,28 @@ class Database:
         return plain
 
     def _plain_cell(self, table: Table, row_id: int, column_pos: int) -> bytes:
+        """A cell's verified plaintext, remembered under the fields of its
+        :class:`CellAddress`.  Only a successful decode fills the cache:
+        the [3] XOR-Scheme decodes a short value zero-extended, so what an
+        encode was given is not what decoding returns."""
         stored = table.get_cell(row_id, column_pos)
-        if table.schema.columns[column_pos].sensitive:
-            address = table.address(row_id, column_pos)
-            if TRACER.enabled:
-                with TRACER.span("cell.decrypt", table=table.schema.name) as span:
-                    span.add_cost("stored_bytes", len(stored))
-                    return self._cell_codec.decode_cell(stored, address)
-            return self._cell_codec.decode_cell(stored, address)
-        return stored
+        if not table.schema.columns[column_pos].sensitive:
+            return stored
+        # A tuple of ints hashes without a Python-level call, and the
+        # CellAddress is built only when the codec runs.
+        address = (table.table_id, row_id, column_pos)
+        if not TRACER.enabled:
+            return self._verified_cells.decode(stored, address, self._decode_cell)
+
+        def traced(stored: bytes, address: tuple[int, int, int]) -> bytes:
+            with TRACER.span("cell.decrypt", table=table.schema.name) as span:
+                span.add_cost("stored_bytes", len(stored))
+                return self._decode_cell(stored, address)
+
+        return self._verified_cells.decode(stored, address, traced)
+
+    def _decode_cell(self, stored: bytes, address: tuple[int, int, int]) -> bytes:
+        return self._cell_codec.decode_cell(stored, CellAddress(*address))
 
     def _select(
         self,

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.engine.codec import EntryRefs, IndexEntryCodec, VerifiedEntries
+from repro.engine.codec import EntryRefs, IndexEntryCodec, VerifiedPlaintexts
 from repro.errors import IndexCorruptionError, NoSuchRowError
 from repro.observability.audit import AUDIT as _AUDIT
 from repro.observability.metrics import REGISTRY as _METRICS
@@ -83,12 +83,13 @@ class IndexTable:
 
     @property
     def codec(self) -> IndexEntryCodec:
-        return self._verified.codec
+        return self._codec
 
     @codec.setter
     def codec(self, codec: IndexEntryCodec) -> None:
         # Nothing verified under the old codec's key carries over.
-        self._verified = VerifiedEntries(codec)
+        self._codec = codec
+        self._verified = VerifiedPlaintexts("index.entry_cache")
 
     # -- construction ---------------------------------------------------------
 
@@ -99,8 +100,11 @@ class IndexTable:
         return row
 
     def _encode_into(self, row: IndexRow, key: bytes, table_row: int | None) -> None:
-        row.payload = self._verified.encode(
-            key, table_row, row.refs(self.index_table_id)
+        refs = row.refs(self.index_table_id)
+        row.payload = self._codec.encode(key, table_row, refs)
+        # The codec just made these bytes from this plaintext.
+        self._verified.remember(
+            row.payload, refs, self._codec.logical(key, table_row, refs)
         )
 
     def bulk_build(self, pairs: list[tuple[bytes, int]]) -> None:
@@ -388,11 +392,16 @@ class IndexTable:
             raise NoSuchRowError(f"index has no row {row_id}") from None
 
     def _decode(self, row: IndexRow) -> tuple[bytes, int | None]:
-        return self._verified.decode(row.payload, row.refs(self.index_table_id))
+        return self._verified.decode(
+            row.payload, row.refs(self.index_table_id), self._codec.decode
+        )
 
     def _decode_query(self, row: IndexRow, at_leaf: bool) -> tuple[bytes, int | None]:
-        return self._verified.decode_for_query(
-            row.payload, row.refs(self.index_table_id), at_leaf
+        codec = self._codec
+        return self._verified.decode(
+            row.payload, row.refs(self.index_table_id),
+            lambda payload, refs: codec.decode_for_query(payload, refs, at_leaf),
+            codec.verifies_at_query(at_leaf),
         )
 
     def _observe(self, row_id: int) -> None:

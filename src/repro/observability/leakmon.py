@@ -248,13 +248,17 @@ def run_live_profile(
     influence its own reference measurement).
     """
     from repro.analysis.leakage import profile_configuration
+    from repro.engine.codec import uncached
 
     monitor = LeakMonitor()
     AUDIT.reset()
     AUDIT.enable(sink_path=sink_path)
     AUDIT.subscribe(monitor.feed)
     try:
-        profile_configuration(config, label, rows=rows, seed=seed)
+        # Every cell read emits its decode event: none is answered from
+        # a verified-plaintext cache.
+        with uncached():
+            profile_configuration(config, label, rows=rows, seed=seed)
         events = AUDIT.events()
     finally:
         AUDIT.reset()

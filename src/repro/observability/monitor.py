@@ -198,7 +198,7 @@ def run_monitor(
     the JSON-ready health document (see :func:`validate_health_report`).
     """
     from repro import observability
-    from repro.engine.codec import uncached_index_entries
+    from repro.engine.codec import uncached
 
     scenarios = monitor_scenarios()
     if scenario not in scenarios:
@@ -257,12 +257,12 @@ def run_monitor(
                 AUDIT.enable(timestamps=False)
             try:
                 # Sample the paper's cold per-query cost: no index entry
-                # is remembered between decodes.
+                # or cell is remembered between decodes.
                 if scenario == CAMPAIGN_SCENARIO:
-                    with uncached_index_entries():
+                    with uncached():
                         outcome = _run_campaign(label, config, quick, limit)
                 else:
-                    with uncached_index_entries():
+                    with uncached():
                         result = _run_bench_scenario(scenario, label, config, quick)
                     if result is None:
                         config_reports.append(

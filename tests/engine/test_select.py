@@ -14,7 +14,7 @@ import pytest
 from repro import observability
 from repro.bench.scenarios import _populated_db
 from repro.core.encrypted_db import EncryptedDatabase, EncryptionConfig
-from repro.engine.codec import uncached_index_entries
+from repro.engine.codec import uncached
 from repro.engine.schema import Column, ColumnType, TableSchema
 from repro.engine.query import (
     AtLeastQuery,
@@ -52,14 +52,15 @@ _CIPHER_CALLS = {
     "fixed AEAD (OCB)": (63, 108, 84),
 }
 
-#: The same queries with the index entries the build just encoded still
-#: remembered: only the cell decrypts remain.
+#: The same queries with the index entries the build just encoded, and
+#: the ``id`` and ``payload`` cells its index backfills decoded, still
+#: remembered: only the ``note`` cell decrypts remain.
 _WARM_CIPHER_CALLS = {
     "plaintext baseline": (0, 0, 0),
-    "[3] Append-Scheme": (11, 33, 33),
-    "[12] index (+append cells)": (11, 33, 33),
-    "fixed AEAD (EAX)": (25, 75, 75),
-    "fixed AEAD (OCB)": (20, 60, 60),
+    "[3] Append-Scheme": (5, 15, 15),
+    "[12] index (+append cells)": (5, 15, 15),
+    "fixed AEAD (EAX)": (11, 33, 33),
+    "fixed AEAD (OCB)": (8, 24, 24),
 }
 
 _CONFIGS = [
@@ -92,9 +93,11 @@ def _three_query_cipher_calls(config, scope):
     "label, config", _CONFIGS, ids=[label for label, _ in _CONFIGS]
 )
 def test_prefix_and_open_bound_queries_match_sect4_predictions(label, config):
-    calls = _three_query_cipher_calls(config, uncached_index_entries())
+    calls = _three_query_cipher_calls(config, uncached())
     assert calls == _CIPHER_CALLS[label]
-    assert "index.entry_cache.hits" not in observability.REGISTRY.counters()
+    counters = observability.REGISTRY.counters()
+    assert "index.entry_cache.hits" not in counters
+    assert "db.cell_cache.hits" not in counters
 
 
 @pytest.mark.parametrize(
@@ -103,7 +106,9 @@ def test_prefix_and_open_bound_queries_match_sect4_predictions(label, config):
 def test_remembered_index_entries_leave_only_cell_decrypts(label, config):
     calls = _three_query_cipher_calls(config, contextlib.nullcontext())
     assert calls == _WARM_CIPHER_CALLS[label]
-    assert observability.REGISTRY.counters()["index.entry_cache.hits"] > 0
+    counters = observability.REGISTRY.counters()
+    assert counters["index.entry_cache.hits"] > 0
+    assert counters["db.cell_cache.hits"] > 0
 
 
 _KINDS = [

@@ -24,8 +24,8 @@ from repro.engine.codec import (
     VERIFIED_ENTRIES_BOUND,
     EntryRefs,
     PlainEntryCodec,
-    VerifiedEntries,
-    uncached_index_entries,
+    VerifiedPlaintexts,
+    uncached,
 )
 from repro.engine.indextable import NO_REF
 from repro.engine.schema import Column, ColumnType, TableSchema
@@ -120,7 +120,7 @@ def _replay(config, operations, cold):
     db = _database(config)
     outcomes = []
     for position, operation in enumerate(operations):
-        scope = uncached_index_entries() if position < cold else nullcontext()
+        scope = uncached() if position < cold else nullcontext()
         try:
             with scope:
                 outcomes.append(_apply(db, operation))
@@ -136,9 +136,8 @@ def test_cache_changes_no_answer_error_or_stored_byte(
     label, config, operations, cold
 ):
     cached = _replay(config, operations, cold)
-    with uncached_index_entries():
-        uncached = _replay(config, operations, cold)
-    assert cached == uncached
+    with uncached():
+        assert _replay(config, operations, cold) == cached
 
 
 @pytest.mark.parametrize(
@@ -225,7 +224,7 @@ def test_tampering_a_warm_structure_raises_as_a_cold_one_under_aead(
         return structure.range_search(b"", None)
 
     warm = _error_type(scan)
-    with uncached_index_entries():
+    with uncached():
         cold = _error_type(scan)
     assert warm is cold is AuthenticationError
 
@@ -265,24 +264,33 @@ def _refs(row_id):
     return EntryRefs(index_table=1, row_id=row_id, is_leaf=True, internal=(NO_REF,))
 
 
+def _encoded(cache, codec, key, table_row, refs):
+    """An encode that remembers its plaintext, as the structures do."""
+    payload = codec.encode(key, table_row, refs)
+    cache.remember(payload, refs, codec.logical(key, table_row, refs))
+    return payload
+
+
 def test_the_least_recently_used_entry_leaves_first():
-    cache = VerifiedEntries(PlainEntryCodec())
+    codec = PlainEntryCodec()
+    cache = VerifiedPlaintexts("index.entry_cache")
     payloads = [
-        cache.encode(f"key-{i}".encode(), i, _refs(i))
+        _encoded(cache, codec, f"key-{i}".encode(), i, _refs(i))
         for i in range(VERIFIED_ENTRIES_BOUND + 44)
     ]
     assert len(cache) == VERIFIED_ENTRIES_BOUND
     observability.enable()
-    cache.decode(payloads[44], _refs(44))  # the oldest held: a hit, now newest
-    cache.decode(payloads[0], _refs(0))  # evicted earlier: a miss, refilled
+    # The oldest held: a hit, now newest.
+    cache.decode(payloads[44], _refs(44), codec.decode)
+    cache.decode(payloads[0], _refs(0), codec.decode)  # evicted: a miss, refilled
     assert len(cache) == VERIFIED_ENTRIES_BOUND
     assert (payloads[44], _refs(44)) in cache._entries
     assert (payloads[45], _refs(45)) not in cache._entries
     assert observability.REGISTRY.counters() == {
         "index.entry_cache.hits": 1, "index.entry_cache.misses": 1,
     }
-    with uncached_index_entries():
-        assert cache.decode(payloads[1], _refs(1)) == (b"key-1", 1)
+    with uncached():
+        assert cache.decode(payloads[1], _refs(1), codec.decode) == (b"key-1", 1)
     assert observability.REGISTRY.counters()["index.entry_cache.misses"] == 1
 
 
@@ -304,17 +312,18 @@ def test_a_lost_race_is_a_miss():
         def popitem(self, last=True):
             raise KeyError("empty")
 
-    cache = VerifiedEntries(PlainEntryCodec())
-    payload = cache.encode(b"key", 7, _refs(7))
+    codec = PlainEntryCodec()
+    cache = VerifiedPlaintexts("index.entry_cache")
+    payload = _encoded(cache, codec, b"key", 7, _refs(7))
     cache._entries = EvictedMeanwhile(cache._entries)
     observability.enable()
-    assert cache.decode(payload, _refs(7)) == (b"key", 7)
+    assert cache.decode(payload, _refs(7), codec.decode) == (b"key", 7)
     assert observability.REGISTRY.counters() == {"index.entry_cache.misses": 1}
 
 
 def test_two_threads_querying_past_the_bound_answer_correctly():
     db = _database(EAX, [(k, _text(k)) for k in range(150)])
-    with uncached_index_entries():
+    with uncached():
         expected = {k: db.select_equals("t", "k", k) for k in range(150)}
     barrier = threading.Barrier(2)
     failures = []
@@ -344,3 +353,4 @@ def test_two_threads_querying_past_the_bound_answer_correctly():
     assert failures == []
     for structure in _structures(db):
         assert len(structure._verified) <= VERIFIED_ENTRIES_BOUND
+    assert len(db._verified_cells) <= VERIFIED_ENTRIES_BOUND  # 300 cells read
