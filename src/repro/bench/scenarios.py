@@ -246,59 +246,6 @@ def bench_bulk_insert(
     )
 
 
-def bench_batch_insert(
-    label: str, config: EncryptionConfig, sizes: SizeProfile
-) -> ScenarioResult:
-    """Insert R fully-sensitive rows with one :meth:`insert_many` call.
-
-    Same workload (and same Sect. 4 formula check) as ``bulk_insert``,
-    through ``insert_many`` instead of the per-row loop.  Both run every
-    cell through the same per-message path, so the blockcipher-invocation
-    counters match the loop's exactly and the stored image is
-    byte-identical (the CI backend-parity matrix checks the image).
-    """
-    db = _fresh_db(config)
-    db.create_table(_SCHEMA)
-    rows = [_row_values(i) for i in range(sizes.rows)]
-    schema = db.table("records").schema
-    plaintexts = [plain for values in rows for plain in schema.encode_row(values)]
-    cells = len(plaintexts)
-    observability.reset()  # excludes construction-time precomputation
-    start = time.perf_counter()
-    db.insert_many("records", rows)
-    wall = time.perf_counter() - start
-
-    snapshot = observability.REGISTRY.snapshot()
-    measured = _measured_cipher_calls()
-    paper_check = None
-    predicted = _predicted_cell_calls(config, plaintexts)
-    if predicted is not None:
-        paper_check = {
-            "formula": f"sum over cells of {config.aead} Sect. 4 formula",
-            "predicted_cipher_calls": predicted,
-            "measured_cipher_calls": measured,
-            "ok": predicted == measured,
-        }
-    result = ScenarioResult(
-        scenario="batch_insert",
-        config=label,
-        wall_seconds=wall,
-        ops=sizes.rows,
-        counters=snapshot["counters"],
-        histograms=snapshot["histograms"],
-        storage_overhead_bytes=_storage_overhead_bytes(db),
-        paper_check=paper_check,
-    )
-    result.counters["batch.cells"] = cells
-    result.counters["batch.cells_per_second"] = (
-        int(cells / wall) if wall > 0 else 0
-    )
-    result.counters["batch.blockcipher_calls_per_cell"] = (
-        measured // cells if cells else 0
-    )
-    return result
-
-
 def bench_point_query(
     label: str, config: EncryptionConfig, sizes: SizeProfile
 ) -> ScenarioResult:
@@ -659,7 +606,6 @@ ScenarioRunner = Callable[[str, EncryptionConfig, SizeProfile], ScenarioResult]
 #: Name → runner, in reporting order.
 SCENARIOS: dict[str, ScenarioRunner] = {
     "bulk_insert": bench_bulk_insert,
-    "batch_insert": bench_batch_insert,
     "point_query": bench_point_query,
     "range_query": bench_range_query,
     "index_build": bench_index_build,

@@ -80,8 +80,10 @@ from repro.durability.vdisk import VirtualDisk
 from repro.durability.wal import (
     CHECKPOINT_BLOB,
     CHECKPOINT_TMP,
+    CheckpointRecord,
     Journal,
     JournalRecord,
+    JournalScan,
     decode_checkpoint,
     encode_checkpoint,
 )
@@ -331,6 +333,7 @@ class DurableDatabase:
         fold: bool = True,
         anchor: "TrustAnchor | None" = None,
         anchor_scope: str = "db",
+        verified: tuple[CheckpointRecord | None, JournalScan] | None = None,
     ) -> "DurableDatabase":
         """Mount a disk: load the checkpoint, replay the journal.
 
@@ -357,14 +360,22 @@ class DurableDatabase:
         state older than an already-acknowledged commit.  The manager
         then keeps advancing the anchor after every durable commit
         point.
+
+        ``verified`` hands over the checkpoint record (None when there is
+        no checkpoint) and the journal scan a caller already verified
+        under ``mac`` from the bytes now on this disk — the shard
+        mount's rotation resolution — so neither blob is read or
+        MAC-checked twice.  Without it, both are read afresh.
         """
         report = WalRecovery()
         journal = Journal(disk, mac)
         fresh_disk = not disk.exists(CHECKPOINT_BLOB) and not journal.exists()
+        ckpt, scan = verified or (None, None)
 
         db: Database | None = None
-        if disk.exists(CHECKPOINT_BLOB):
+        if ckpt is None and disk.exists(CHECKPOINT_BLOB):
             ckpt = decode_checkpoint(disk.read(CHECKPOINT_BLOB), mac)
+        if ckpt is not None:
             report.generation = max(ckpt.generation, 1)
             report.applied_seq = max(ckpt.applied_seq, 0)
             if ckpt.ok:
@@ -397,7 +408,8 @@ class DurableDatabase:
                 cell_codec=cell_codec, index_codec_factory=index_codec_factory
             )
 
-        scan = journal.scan()
+        if scan is None:
+            scan = journal.scan()
         if scan.header_ok:
             report.journal = JOURNAL_CLEAN if scan.clean else JOURNAL_TRUNCATED
         else:

@@ -58,7 +58,9 @@ from repro.durability.vdisk import VirtualDisk
 from repro.durability.wal import (
     CHECKPOINT_BLOB,
     JOURNAL_BLOB,
+    CheckpointRecord,
     Journal,
+    JournalScan,
     decode_checkpoint,
     journal_mac,
 )
@@ -142,13 +144,18 @@ def _authenticating_epoch(
     chain: KeyChain,
     shard_id: str,
     epoch_hint: int,
-) -> int | None:
+) -> tuple[int, MAC, CheckpointRecord | None, JournalScan | None] | None:
     """Which epoch's keys this shard's durable bytes authenticate under.
 
     The checkpoint MAC is the anchor; a shard without a checkpoint yet is
     judged by its WAL records.  Candidates are tried hint-first, then
     hint+1 (the mid-rotation neighbour), then every remaining epoch
-    newest-first (the degraded, manifest-less probe).
+    newest-first (the degraded, manifest-less probe).  The checkpoint
+    blob is read once and decoded under each candidate's MAC.
+
+    Returns the epoch, its journal MAC, and what decided it: the
+    checkpoint record, or the journal scan of a shard with no checkpoint
+    yet; None when a checkpoint exists but no epoch authenticates it.
     """
     candidates = [epoch_hint]
     if epoch_hint + 1 <= chain.head_epoch:
@@ -157,21 +164,24 @@ def _authenticating_epoch(
         if epoch not in candidates:
             candidates.append(epoch)
 
-    has_checkpoint = disk.exists(CHECKPOINT_BLOB)
+    blob = disk.read(CHECKPOINT_BLOB) if disk.exists(CHECKPOINT_BLOB) else None
+    hinted = None
     for epoch in candidates:
         mac = shard_journal_mac(chain, shard_id, epoch)
-        if has_checkpoint:
-            if decode_checkpoint(disk.read(CHECKPOINT_BLOB), mac).ok:
-                return epoch
+        if blob is not None:
+            checkpoint = decode_checkpoint(blob, mac)
+            if checkpoint.ok:
+                return epoch, mac, checkpoint, None
         else:
             scan = Journal(disk, mac).scan()
             if scan.records:
-                return epoch
-    if not has_checkpoint:
-        # Header-only (or missing) WAL and no checkpoint: nothing is
-        # epoch-specific yet, so the hint is as good as any answer.
-        return epoch_hint
-    return None
+                return epoch, mac, None, scan
+            if epoch == epoch_hint:
+                # Header-only (or missing) WAL and no checkpoint: nothing
+                # is epoch-specific yet, so the hint is as good as any
+                # answer.
+                hinted = epoch, mac, None, scan
+    return hinted
 
 
 def _delete_if_exists(disk: VirtualDisk, name: str) -> bool:
@@ -186,21 +196,28 @@ def _delete_if_exists(disk: VirtualDisk, name: str) -> bool:
 
 def _resolve(
     disk: VirtualDisk, chain: KeyChain, shard_id: str, epoch_hint: int
-) -> ShardResolution:
-    """Run the rotation decision table before the ordinary WAL recovery."""
+) -> tuple[ShardResolution, tuple[CheckpointRecord | None, JournalScan] | None]:
+    """Run the rotation decision table before the ordinary WAL recovery.
+
+    Also returns the checkpoint record and journal scan the table
+    verified, for :meth:`DurableDatabase.open` to use instead of reading
+    them again — but only on the rows that rewrite neither blob: a
+    verdict never outlives a rewrite.
+    """
     resolution = ShardResolution(shard_id=shard_id, epoch=epoch_hint)
     if not disk.exists(CHECKPOINT_BLOB) and not disk.exists(JOURNAL_BLOB):
-        return resolution  # brand-new shard
+        return resolution, None  # brand-new shard
 
-    epoch = _authenticating_epoch(disk, chain, shard_id, epoch_hint)
-    if epoch is None:
+    found = _authenticating_epoch(disk, chain, shard_id, epoch_hint)
+    if found is None:
         resolution.unauthenticated = True
         resolution.issues.append(
             f"{shard_id}: no key epoch in the chain authenticates the "
             f"checkpoint; mounting degraded at epoch {epoch_hint} without "
             f"touching the durable bytes"
         )
-        return resolution
+        return resolution, None
+    epoch, mac, checkpoint, scan = found
     resolution.epoch = epoch
     if epoch != epoch_hint:
         resolution.issues.append(
@@ -212,31 +229,26 @@ def _resolve(
             # the manifest (or the old WAL) caught up.
             resolution.rolled_forward = True
 
-    mac = shard_journal_mac(chain, shard_id, epoch)
     journal = Journal(disk, mac)
-    scan = journal.scan()
+    if scan is None:
+        scan = journal.scan()
     begin = next((r for r in scan.records if r.op == OP_ROTATE_BEGIN), None)
     commit = next((r for r in scan.records if r.op == OP_ROTATE_COMMIT), None)
 
     if commit is not None:
         _roll_forward(disk, chain, shard_id, epoch, resolution)
-    elif begin is not None:
+        return resolution, None
+    if begin is not None:
         _roll_back(disk, journal, shard_id, epoch, scan.generation, resolution)
-    else:
-        if _delete_if_exists(disk, CHECKPOINT_NEXT):
-            resolution.issues.append(
-                f"{shard_id}: removed a stray staged checkpoint"
-            )
-        if resolution.rolled_forward and not scan.clean:
-            # The stale old-epoch WAL (it authenticates under e-1, not
-            # e) would read as torn; found it afresh under this epoch.
-            ckpt = decode_checkpoint(
-                disk.read(CHECKPOINT_BLOB), shard_journal_mac(chain, shard_id, epoch)
-            )
-            Journal(disk, shard_journal_mac(chain, shard_id, epoch)).reset(
-                max(ckpt.generation, 1)
-            )
-    return resolution
+        return resolution, None
+    if _delete_if_exists(disk, CHECKPOINT_NEXT):
+        resolution.issues.append(f"{shard_id}: removed a stray staged checkpoint")
+    if resolution.rolled_forward and checkpoint is not None and not scan.clean:
+        # The stale old-epoch WAL (it authenticates under e-1, not
+        # e) would read as torn; found it afresh under this epoch.
+        journal.reset(max(checkpoint.generation, 1))
+        return resolution, None
+    return resolution, (checkpoint, scan)
 
 
 def _roll_forward(
@@ -313,7 +325,7 @@ def mount_shard(
     With ``anchor`` set, the mount checks freshness under the scope
     ``"shard.<shard_id>"`` and raises
     :class:`~repro.errors.StaleImageError` on rollback."""
-    resolution = _resolve(disk, chain, shard_id, epoch_hint)
+    resolution, verified = _resolve(disk, chain, shard_id, epoch_hint)
     enc, mac = shard_crypto(chain, shard_id, resolution.epoch, config)
     manager = DurableDatabase.open(
         disk,
@@ -325,6 +337,7 @@ def mount_shard(
         fold=not resolution.unauthenticated,
         anchor=anchor,
         anchor_scope=f"shard.{shard_id}",
+        verified=verified,
     )
     return Shard(
         shard_id=shard_id,

@@ -1,6 +1,7 @@
 """Incident forensics: the injection/detection join, the scorecard
 gate, the timeline, and the reference flight drivers."""
 
+import hashlib
 import json
 
 import pytest
@@ -245,6 +246,17 @@ def test_chaos_flight_is_byte_deterministic(tmp_path):
     run_chaos_flight(steps=8, seed=11, out=first)
     run_chaos_flight(steps=8, seed=11, out=second)
     assert first.read_bytes() == second.read_bytes()
+    # Pinned, not just repeatable: a change that moves the flight
+    # document moves it in both runs.
+    assert hashlib.sha256(first.read_bytes()).hexdigest() == (
+        "05d2aef39cf1347a8ccde80bbeca9f7c7c5ea33523cf2a2575471f20519a2ca5"
+    )
+    # CI's forensics smoke run: `forensics --chaos --steps 20 --seed 1`.
+    ci = tmp_path / "FLIGHT.json"
+    run_chaos_flight(steps=20, seed=1, out=ci)
+    assert hashlib.sha256(ci.read_bytes()).hexdigest() == (
+        "cc122d8c100767d9c430c2afc6f826d671cafdc41c6f262085db92de270251df"
+    )
 
 
 def test_chaos_flight_different_seeds_differ(tmp_path):

@@ -113,7 +113,7 @@ def test_baseline_p99_rule_matches_scenario_config_metric():
     baseline = {
         "scenarios": [
             {
-                "scenario": "batch_insert",
+                "scenario": "bulk_insert",
                 "config": "fixed AEAD (EAX)",
                 "histograms": {"db.insert.seconds": {"p99": 0.001}},
             }
@@ -121,7 +121,7 @@ def test_baseline_p99_rule_matches_scenario_config_metric():
     }
     rule = BaselineP99Rule(baseline, tolerance=1.0)
     hub = _hub()
-    labels = {"scenario": "batch_insert", "config": "fixed AEAD (EAX)"}
+    labels = {"scenario": "bulk_insert", "config": "fixed AEAD (EAX)"}
     hub.record("db.insert.seconds.p99", 0.0015, labels=labels, volatile=True)
     assert rule.evaluate(hub) == []  # within 2x
     hub.record("db.insert.seconds.p99", 0.0025, labels=labels, volatile=True)

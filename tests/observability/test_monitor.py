@@ -10,6 +10,7 @@ The acceptance contract of the observability PR, as tests:
   demonstrably ring.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -92,7 +93,13 @@ def test_same_seed_runs_are_byte_identical_modulo_meta():
     second = run_monitor(scenario="shard_rotation", quick=True)
     first.pop("meta")
     second.pop("meta")
-    assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+    text = json.dumps(first, sort_keys=True)
+    assert text == json.dumps(second, sort_keys=True)
+    # Pinned, not just repeatable: a change that moves HEALTH.json
+    # moves it in both runs.
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "602f8ba06ea9fe02931157054ded146487d41283a34662ed88e7e41c6185ccbf"
+    )
 
 
 def test_injected_cipher_miscount_fires_sect4_drift():
@@ -203,7 +210,7 @@ def test_unknown_scenario_and_injection_raise():
 def test_monitor_scenarios_cover_bench_and_campaign():
     names = monitor_scenarios()
     assert "shard_rotation" in names
-    assert "batch_insert" in names
+    assert "bulk_insert" in names
     assert names[-1] == CAMPAIGN_SCENARIO
 
 

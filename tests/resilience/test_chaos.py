@@ -106,6 +106,18 @@ def test_chaos_campaign_is_deterministic_under_a_seed():
     first = run_chaos_campaign(steps=12, seed=4, configs=configs)
     second = run_chaos_campaign(steps=12, seed=4, configs=configs)
     assert first.per_config == second.per_config
+    # Pinned, not just repeatable: a change that moves the schedule's
+    # outcome moves it in both runs.
+    assert first.format_matrix().splitlines() == [
+        "chaos campaign (12 scheduled events, seed 4, 3 flaky+retrying "
+        "replicas, 2 shards per configuration)",
+        "configuration       events  acked  crashes  corruptions  repairs  "
+        "rollbacks  detected  rotations  scrubs  violations",
+        "------------------  ------  -----  -------  -----------  -------  "
+        "---------  --------  ---------  ------  ----------",
+        "plaintext baseline  12      5      1        3            3        "
+        "1          1         0          2       0",
+    ]
 
 
 def test_chaos_campaign_matrix_mentions_the_schedule():

@@ -101,15 +101,6 @@ def test_bench_quick_single_scenario(tmp_path, capsys):
     assert validate_report(json.loads(out.read_text())) == []
 
 
-def test_bench_quick_batch_insert_scenario(capsys, tmp_path):
-    out = tmp_path / "BENCH_batch.json"
-    assert main(["bench", "--quick", "--scenarios", "batch_insert",
-                 "--out", str(out)]) == 0
-    captured = capsys.readouterr()
-    assert "bench (quick profile): OK" in captured.out
-    assert out.exists()
-
-
 def test_backendparity(tmp_path, capsys):
     out = tmp_path / "parity.json"
     assert main(["backendparity", "--out", str(out)]) == 0
