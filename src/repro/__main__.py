@@ -1005,8 +1005,7 @@ def _forensics(args: argparse.Namespace) -> int:
             print(render_timeline(build_timeline(doc)))
         if incidents:
             return _fail(f"INCIDENT: {incident}" for incident in incidents)
-        print("no incidents: zero alerts, zero typed errors, "
-              "zero false positives")
+        print("no incidents: zero alerts, zero false positives")
         return 0
 
     if args.chaos:

@@ -38,6 +38,7 @@ depends on whether auditing is enabled.
 
 from __future__ import annotations
 
+import hashlib
 import io
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -312,11 +313,16 @@ class DurableDatabase:
         recovery: WalRecovery,
         anchor: "TrustAnchor | None" = None,
         anchor_scope: str = "db",
+        checkpoint_digest: bytes = b"",
     ) -> None:
         self._disk = disk
         self._db = db
         self._mac = mac
         self.recovery = recovery
+        #: SHA-256 of the checkpoint blob this manager last wrote or
+        #: loaded, ``b""`` while there is none: taken from bytes in hand,
+        #: never read back.
+        self.checkpoint_digest = checkpoint_digest
         self._committer = db.write_ahead = _Committer(
             journal, seq, generation, anchor, anchor_scope
         )
@@ -519,6 +525,7 @@ class DurableDatabase:
             disk, db, journal, mac,
             generation=report.generation, seq=seq, recovery=report,
             anchor=anchor, anchor_scope=anchor_scope,
+            checkpoint_digest=ckpt.digest if ckpt is not None else b"",
         )
         if fresh_disk:
             journal.reset(manager.generation)
@@ -585,6 +592,7 @@ class DurableDatabase:
             self._disk.write(CHECKPOINT_TMP, blob)
             self._disk.sync(CHECKPOINT_TMP)
             self._disk.rename(CHECKPOINT_TMP, CHECKPOINT_BLOB)
+            self.checkpoint_digest = hashlib.sha256(blob).digest()
             log.journal.reset(log.generation)
         if log.anchor is not None:
             log.anchor.advance(log.anchor_scope, log.seq, log.generation)

@@ -33,6 +33,7 @@ lacking.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import struct
 from dataclasses import dataclass, field
@@ -219,7 +220,8 @@ class CheckpointRecord:
     ``status`` is ``"ok"``, ``"unauthenticated"`` (framed fine, MAC
     failed — the image bytes are still available for resilient salvage),
     or ``"malformed"`` (framing broke; ``image`` holds whatever prefix
-    could be extracted, possibly ``None``).
+    could be extracted, possibly ``None``).  ``digest`` is the SHA-256
+    of the whole blob, whatever its status.
     """
 
     status: str
@@ -227,6 +229,7 @@ class CheckpointRecord:
     applied_seq: int = 0
     image: bytes | None = None
     detail: str = ""
+    digest: bytes = b""
 
     @property
     def ok(self) -> bool:
@@ -253,7 +256,9 @@ def decode_checkpoint(blob: bytes, mac: MAC) -> CheckpointRecord:
     """Decode and verify a checkpoint blob.  Never raises: a damaged
     blob comes back with a non-``ok`` status and best-effort fields."""
     reader = _Reader(blob)
-    record = CheckpointRecord(status="malformed")
+    record = CheckpointRecord(
+        status="malformed", digest=hashlib.sha256(blob).digest()
+    )
     try:
         reader.expect(CKPT_MAGIC)
         record.generation = reader.read_int()

@@ -11,7 +11,7 @@ records that is **always on**, costs one lock + deque append per event,
 holds no unbounded state, and can serialise itself to a schema-validated
 ``FLIGHT.json`` (``repro-flight/1``) at any moment.
 
-Records arrive on six channels:
+Records arrive on five channels:
 
 * ``audit`` — every security audit event (forwarded by
   :meth:`~repro.observability.audit.AuditLog.emit` whenever the audit
@@ -26,7 +26,6 @@ Records arrive on six channels:
   emitted by the production detectors (scrubber MAC verdicts, trust
   anchors), and **resolved** records when an injected fault was healed
   or overwritten before any detector could see it;
-* ``error`` — typed :class:`~repro.errors.ReproError` captures;
 * ``note`` — contextual breadcrumbs (WAL replay outcomes, read-repairs,
   freshness heals) that anchor forensic attribution without being
   graded signals themselves.
@@ -58,7 +57,7 @@ FLIGHT_SCHEMA = "repro-flight/1"
 DEFAULT_CAPACITY = 4096
 
 #: Every channel a record may arrive on.
-CHANNELS = ("audit", "telemetry", "alert", "fault", "error", "note")
+CHANNELS = ("audit", "telemetry", "alert", "fault", "note")
 
 #: The fault-record kinds carried on the ``fault`` channel.
 FAULT_KINDS = ("injection", "detection", "resolved")
@@ -106,8 +105,6 @@ class FlightRecorder:
         self._seq = 0
         self._tick = 0
         self._injections = 0
-        self._armed_path: Path | None = None
-        self.dumps_written = 0
 
     # -- the logical clock ---------------------------------------------------
 
@@ -163,21 +160,10 @@ class FlightRecorder:
         )
 
     def record_alert(self, alert: dict) -> None:
-        """Record one fired health alert; dumps immediately when armed."""
+        """Record one fired health alert."""
         fields = dict(alert)
         rule = str(fields.pop("rule", "unknown"))
         self.record("alert", rule, **fields)
-        self._maybe_dump(f"alert:{rule}")
-
-    def record_error(self, exc: BaseException) -> None:
-        """Record one typed error; dumps immediately when armed."""
-        kind = type(exc).__name__
-        fields = {"message": str(exc)}
-        for key, value in vars(exc).items():
-            if isinstance(value, (str, int, float, bool)) or value is None:
-                fields[key] = value
-        self.record("error", kind, **fields)
-        self._maybe_dump(f"error:{kind}")
 
     # -- ground truth --------------------------------------------------------
 
@@ -203,19 +189,6 @@ class FlightRecorder:
         already closed them, in which case the resolution is ignored)."""
         self.record("fault", "resolved", id=injection_id, reason=reason, **context)
 
-    # -- dump triggers -------------------------------------------------------
-
-    def arm(self, path: str | Path) -> None:
-        """Dump to ``path`` the moment any alert or typed error lands."""
-        self._armed_path = Path(path)
-
-    def disarm(self) -> None:
-        self._armed_path = None
-
-    def _maybe_dump(self, reason: str) -> None:
-        if self._armed_path is not None:
-            self.dump(self._armed_path, reason=reason)
-
     # -- introspection -------------------------------------------------------
 
     def records(self, channel: str | None = None) -> list[dict]:
@@ -226,15 +199,13 @@ class FlightRecorder:
         return [entry for entry in entries if entry["channel"] == channel]
 
     def reset(self) -> None:
-        """Forget everything: records, drops, clocks, the armed path."""
+        """Forget everything: records, drops, clocks."""
         with self._lock:
             self._records.clear()
             self.dropped = {}
             self._seq = 0
             self._tick = 0
             self._injections = 0
-            self._armed_path = None
-            self.dumps_written = 0
 
     # -- the dump ------------------------------------------------------------
 
@@ -263,19 +234,6 @@ class FlightRecorder:
             }
         if meta is not None:
             doc["meta"] = meta
-        return doc
-
-    def dump(
-        self,
-        path: str | Path,
-        reason: str = "explicit",
-        meta: dict | None = None,
-    ) -> dict:
-        """Snapshot and write ``FLIGHT.json``; returns the document."""
-        doc = self.snapshot(reason=reason, meta=meta)
-        write_flight(doc, path)
-        with self._lock:
-            self.dumps_written += 1
         return doc
 
 

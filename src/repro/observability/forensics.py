@@ -4,8 +4,8 @@ A ``FLIGHT.json`` (:mod:`repro.observability.flightrecorder`) is a raw
 record stream; this module turns it into answers:
 
 * :func:`build_timeline` — the causally ordered incident timeline: every
-  record in logical-tick order, with each anomaly (health alert, typed
-  error, detection, false positive) attributed to a root cause — the
+  record in logical-tick order, with each anomaly (health alert,
+  detection, false positive) attributed to a root cause — the
   injection it traces back to (replica id, blob, config, epoch) and the
   nearest preceding WAL-truncation offset;
 * :func:`build_scorecard` — the detection scorecard: ground-truth
@@ -211,7 +211,7 @@ def scorecard_gate(scorecard: dict, require: tuple = ()) -> list[str]:
 # -- the timeline ------------------------------------------------------------
 
 
-_ANOMALY = ("alert", "error")
+_ANOMALY = ("alert",)
 
 
 def _summary(record: dict) -> str:
@@ -227,7 +227,7 @@ def build_timeline(doc: dict) -> list[dict]:
     """The causally ordered incident timeline with root-cause links.
 
     One entry per record, in ``seq`` (and therefore tick) order.  Each
-    detection carries the injection it closed; each alert or error is
+    detection carries the injection it closed; each alert is
     attributed to the nearest preceding injection and the nearest
     preceding WAL-truncation note (offset attribution), when they exist.
     """
@@ -491,18 +491,13 @@ def run_healthy_flight(
 
 def flight_incidents(doc: dict) -> list[str]:
     """Every incident in a flight document, as human-readable strings:
-    health alerts, typed errors, false-positive detections, and open
-    gated injections."""
+    health alerts, false-positive detections, and open gated
+    injections."""
     incidents = []
     for record in doc["records"]:
         if record["channel"] == "alert":
             incidents.append(
                 f"alert {record['kind']} at tick {record['tick']}: "
-                f"{record['fields'].get('message', '')}"
-            )
-        elif record["channel"] == "error":
-            incidents.append(
-                f"error {record['kind']} at tick {record['tick']}: "
                 f"{record['fields'].get('message', '')}"
             )
     scorecard = build_scorecard(doc)

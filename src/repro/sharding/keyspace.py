@@ -274,7 +274,7 @@ class ShardedKeyspace:
                 shard_id=shard.shard_id,
                 key_epoch=shard.epoch,
                 generation=shard.manager.generation,
-                checkpoint_digest=shard.checkpoint_digest(),
+                checkpoint_digest=shard.manager.checkpoint_digest,
             )
             for shard in self.shards
         )
@@ -327,7 +327,7 @@ class ShardedKeyspace:
                 )
             elif (
                 entry.generation != shard.manager.generation
-                or entry.checkpoint_digest != shard.checkpoint_digest()
+                or entry.checkpoint_digest != shard.manager.checkpoint_digest
             ):
                 drift.append(f"{shard.shard_id}: stale generation/digest")
         if drift:

@@ -33,6 +33,7 @@ shards serving queries mid-rotation.
 
 from __future__ import annotations
 
+import hashlib
 import io
 from dataclasses import dataclass
 from typing import Iterator
@@ -206,6 +207,7 @@ class ShardRotation:
             recovery=manager.recovery,
             anchor=manager.anchor,
             anchor_scope=manager.anchor_scope,
+            checkpoint_digest=hashlib.sha256(staged).digest(),
         )
         if manager.anchor is not None:
             # The install is durable (checkpoint renamed in, journal

@@ -36,7 +36,6 @@ committed prefix still names the decision.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -122,12 +121,6 @@ class Shard:
     @property
     def degraded(self) -> bool:
         return self.manager.recovery.degraded
-
-    def checkpoint_digest(self) -> bytes:
-        """SHA-256 of the shard's current checkpoint blob (empty if none)."""
-        if not self.disk.exists(CHECKPOINT_BLOB):
-            return b""
-        return hashlib.sha256(self.disk.read(CHECKPOINT_BLOB)).digest()
 
     def adopt(
         self, enc: EncryptedDatabase, manager: DurableDatabase, epoch: int
@@ -267,26 +260,24 @@ def _roll_forward(
         )
         return
     new_mac = shard_journal_mac(chain, shard_id, to_epoch)
-    if disk.exists(CHECKPOINT_NEXT):
-        staged = decode_checkpoint(disk.read(CHECKPOINT_NEXT), new_mac)
-        if not staged.ok:
-            resolution.issues.append(
-                f"{shard_id}: committed rotation's staged checkpoint is "
-                f"{staged.status}; refusing to install it"
-            )
-            return
-        disk.rename(CHECKPOINT_NEXT, CHECKPOINT_BLOB)
-        Journal(disk, new_mac).reset(staged.generation)
-    else:
-        # Crash landed between the install rename and the WAL reset.
-        installed = decode_checkpoint(disk.read(CHECKPOINT_BLOB), new_mac)
-        if not installed.ok:
-            resolution.issues.append(
-                f"{shard_id}: committed rotation left neither a staged nor "
-                f"an installed new-epoch checkpoint"
-            )
-            return
-        Journal(disk, new_mac).reset(installed.generation)
+    if not disk.exists(CHECKPOINT_NEXT):
+        # A crash after the install rename never lands here: the
+        # checkpoint then authenticates only under e+1, which hides the
+        # old WAL's commit (the already-installed row).
+        resolution.issues.append(
+            f"{shard_id}: committed rotation left neither a staged nor "
+            f"an installed new-epoch checkpoint"
+        )
+        return
+    staged = decode_checkpoint(disk.read(CHECKPOINT_NEXT), new_mac)
+    if not staged.ok:
+        resolution.issues.append(
+            f"{shard_id}: committed rotation's staged checkpoint is "
+            f"{staged.status}; refusing to install it"
+        )
+        return
+    disk.rename(CHECKPOINT_NEXT, CHECKPOINT_BLOB)
+    Journal(disk, new_mac).reset(staged.generation)
     resolution.epoch = to_epoch
     resolution.rolled_forward = True
 

@@ -149,27 +149,8 @@ def test_fields_are_coerced_to_json(tmp_path):
     json.dumps(fields)  # must be serialisable as-is
 
 
-def test_armed_recorder_dumps_on_alert_and_error(tmp_path):
-    recorder = FlightRecorder(capacity=8)
-    target = tmp_path / "FLIGHT.json"
-    recorder.arm(target)
-    recorder.record_alert(
-        {"rule": "sect4-drift", "severity": "critical", "message": "boom"}
-    )
-    assert target.exists()
-    doc = load_flight(target)
-    assert doc["reason"] == "alert:sect4-drift"
-    recorder.record_error(ValueError("bad image"))
-    assert load_flight(target)["reason"] == "error:ValueError"
-    assert recorder.dumps_written == 2
-    recorder.disarm()
-    recorder.record_error(ValueError("silent"))
-    assert recorder.dumps_written == 2
-
-
-def test_reset_forgets_everything(tmp_path):
+def test_reset_forgets_everything():
     recorder = FlightRecorder(capacity=2)
-    recorder.arm(tmp_path / "F.json")
     recorder.tick()
     for _ in range(5):
         recorder.note("x")
@@ -179,8 +160,6 @@ def test_reset_forgets_everything(tmp_path):
     assert recorder.dropped == {}
     assert recorder.current_tick == 0
     assert recorder.record_injection("tamper") == "inj-1"
-    recorder.record_error(ValueError("after reset"))  # disarmed by reset
-    assert not (tmp_path / "F.json").exists()
 
 
 def test_snapshot_validates_and_round_trips(tmp_path):

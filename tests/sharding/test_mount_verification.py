@@ -7,9 +7,12 @@ again.  Every row of the decision table that rewrites the checkpoint or
 the journal makes ``open`` read afresh, so a verdict never outlives the
 bytes it judged.  Counted like ``tests/resilience/test_scrub.py`` counts
 a scrub pass: ``HMACMAC.tag`` calls (a verify computes one tag),
-``decode_checkpoint`` calls and journal scans.
+``decode_checkpoint`` calls and journal scans.  The manifest takes each
+shard's checkpoint digest from its manager, so no checkpoint is read
+back to build or check it.
 """
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -22,6 +25,7 @@ from repro.durability.wal import CHECKPOINT_BLOB, Journal, decode_checkpoint
 from repro.mac.hmac_mac import HMACMAC
 from repro.sharding import ShardedKeyspace, ShardRotation
 from repro.sharding import shard as shard_module
+from repro.sharding.manifest import read_manifest
 from repro.sharding.shard import CHECKPOINT_NEXT
 
 from tests.sharding.test_keyspace import MASTER, SCHEMA
@@ -81,6 +85,32 @@ def row_ids(keyspace: ShardedKeyspace) -> list[int]:
     return sorted(row[0] for _, _, row in keyspace.select_range("recs", "id", 0, 99))
 
 
+def rows_answered(keyspace: ShardedKeyspace) -> int:
+    """Rows the shards answer; a shard that lost its tables answers none."""
+    return sum(
+        len(s.manager.database.select_range("recs", "id", 0, 99))
+        for s in keyspace.shards
+        if "recs" in s.manager.database.table_names
+    )
+
+
+def assert_manifest_matches_disk(keyspace: ShardedKeyspace) -> None:
+    """The stored manifest gives each shard its epoch, its manager's
+    generation and the SHA-256 of its checkpoint blob (b"" if none)."""
+    record = read_manifest(keyspace.disk, keyspace.chain)
+    assert record.ok
+    for shard in keyspace.shards:
+        entry = record.manifest.entry(shard.shard_id)
+        on_disk = (
+            hashlib.sha256(shard.disk.read(CHECKPOINT_BLOB)).digest()
+            if shard.disk.exists(CHECKPOINT_BLOB)
+            else b""
+        )
+        assert (entry.key_epoch, entry.generation, entry.checkpoint_digest) == (
+            shard.epoch, shard.manager.generation, on_disk
+        )
+
+
 def test_a_clean_mount_reads_and_checks_each_blob_once(monkeypatch):
     disk = MemoryDisk()
     keyspace = seed(disk)
@@ -91,12 +121,12 @@ def test_a_clean_mount_reads_and_checks_each_blob_once(monkeypatch):
     # One tag for the manifest, one per shard checkpoint, one per
     # journal record.
     assert counts == {"tags": 1 + 2 + (3 + 1), "decodes": 2, "scans": 2}
-    # The second checkpoint read is the manifest check's digest.
+    # The manifest check takes each digest from the shard's manager.
     assert survivor.reads == {
         "manifest": 1,
-        "s0.checkpoint": 2,
+        "s0.checkpoint": 1,
         "s0.wal": 1,
-        "s1.checkpoint": 2,
+        "s1.checkpoint": 1,
         "s1.wal": 1,
     }
     assert [s.epoch for s in again.shards] == [0, 0]
@@ -118,6 +148,7 @@ def test_a_shard_without_a_checkpoint_is_judged_by_one_journal_scan(monkeypatch)
     assert counts == {"tags": 1 + 3, "scans": 2}
     assert survivor.reads == {"manifest": 1, "s0.wal": 1, "s1.wal": 1}
     assert row_ids(again) == [0]
+    assert_manifest_matches_disk(again)
 
 
 def _interrupted_rotation(phase: str, then=None) -> dict[str, bytes]:
@@ -142,20 +173,35 @@ def _lose_staged(disk) -> None:
     disk.delete(CHECKPOINT_NEXT)
 
 
-def _wrong_chain_case() -> tuple[dict[str, bytes], KeyChain]:
+def _lose_both_checkpoints(disk) -> None:
+    disk.delete(CHECKPOINT_NEXT)
+    disk.delete(CHECKPOINT_BLOB)
+
+
+def _rotated_case() -> tuple[dict[str, bytes], KeyChain]:
     disk = MemoryDisk()
     seed(disk).rotate(NEW_MASTER)
-    return (
-        disk.durable_state(),
-        KeyChain([MASTER, b"an-entirely-different-master!!!!"]),
-    )
+    return disk.durable_state(), full_chain()
+
+
+def _wrong_chain_case() -> tuple[dict[str, bytes], KeyChain]:
+    state, _ = _rotated_case()
+    return state, KeyChain([MASTER, b"an-entirely-different-master!!!!"])
 
 
 # (state and chain, epochs, rows, s0's rolled back / rolled forward /
 # unauthenticated, degraded shards, counts).  Shard s1
-# resolves cleanly in every case but the wrong chain, and its mount
-# costs 2 tags, 1 decode and 1 scan: the rest is s0 and the manifest.
+# resolves cleanly in every case but the wrong chain, and after an
+# interrupted rotation its mount costs 2 tags, 1 decode and 1 scan: the
+# rest is s0 and the manifest.
 CASES = {
+    # Both shards at epoch 1 with empty journals and the manifest up to
+    # date: a clean mount, and no manifest write.
+    "finished rotation": (
+        _rotated_case,
+        [1, 1], 10, (False, False, False), [],
+        {"tags": 3, "decodes": 2, "scans": 2},
+    ),
     "roll back": (
         lambda: (_interrupted_rotation("armed"), full_chain()),
         [0, 0], 10, (True, False, False), [],
@@ -185,7 +231,18 @@ CASES = {
     "committed rotation without its staged checkpoint": (
         lambda: (_interrupted_rotation("committed", _lose_staged), full_chain()),
         [0, 0], 10, (False, False, False), ["s0"],
-        {"tags": 14, "decodes": 4, "scans": 3},
+        {"tags": 13, "decodes": 3, "scans": 3},
+    ),
+    # The same refusal with no checkpoint left at all: s0 mounts
+    # degraded and empty, as any shard that lost its checkpoint does,
+    # and s1 still answers its rows.
+    "committed rotation without either checkpoint": (
+        lambda: (
+            _interrupted_rotation("committed", _lose_both_checkpoints),
+            full_chain(),
+        ),
+        [0, 0], 2, (False, False, False), ["s0"],
+        {"tags": 11, "decodes": 1, "scans": 3},
     ),
     "wrong chain": (
         _wrong_chain_case,
@@ -208,5 +265,22 @@ def test_each_resolution_row_keeps_its_outcome_and_count(monkeypatch, case):
     ) == flags
     assert [s.epoch for s in survivor.shards] == epochs
     assert survivor.degraded_shards == degraded
-    assert len(row_ids(survivor)) == rows
+    assert rows_answered(survivor) == rows
     assert counts == expected
+    if not resolution.unauthenticated:
+        # The wrong chain leaves the manifest alone on purpose.
+        assert_manifest_matches_disk(survivor)
+        survivor.checkpoint()
+        assert_manifest_matches_disk(survivor)
+
+
+def test_a_committed_rotation_without_either_checkpoint_refuses():
+    state = _interrupted_rotation("committed", _lose_both_checkpoints)
+    survivor = ShardedKeyspace.open(MemoryDisk(state), full_chain(), CONFIG, workers=1)
+    s0, s1 = survivor.shards
+    assert (
+        "s0: committed rotation left neither a staged nor an installed "
+        "new-epoch checkpoint"
+    ) in s0.resolution.issues
+    assert s0.manager.database.table_names == []
+    assert len(s1.manager.database.select_range("recs", "id", 0, 99)) == 2
