@@ -104,24 +104,24 @@ def _names(text: str) -> list[str]:
 
 def _slug(text: str) -> str:
     """Type of ``--config``: one of the six configuration slugs."""
-    from repro.observability.leakmon import CONFIG_SLUGS
+    from repro.robustness.campaign import CAMPAIGN_CONFIGS
 
-    if text not in CONFIG_SLUGS:
+    if text not in CAMPAIGN_CONFIGS:
         raise UsageError(
             f"unknown configuration slug {text!r}; "
-            f"available: {', '.join(CONFIG_SLUGS)}"
+            f"available: {', '.join(CAMPAIGN_CONFIGS)}"
         )
     return text
 
 
 def _slugs(text: str) -> list[str]:
     """Type of ``--configs``: one or more comma-separated slugs."""
-    from repro.observability.leakmon import CONFIG_SLUGS
+    from repro.robustness.campaign import CAMPAIGN_CONFIGS
 
     slugs = [_slug(slug) for slug in _names(text)]
     if not slugs:
         raise UsageError(
-            f"no configurations selected; available: {', '.join(CONFIG_SLUGS)}"
+            f"no configurations selected; available: {', '.join(CAMPAIGN_CONFIGS)}"
         )
     return slugs
 
@@ -159,14 +159,20 @@ def _fail(lines: Iterable[str], gap: bool = True) -> int:
 def _campaign_configs(slugs: list[str] | None) -> list:
     """``(label, config)`` for each slug; with no slugs, all six
     configurations, which is every campaign's own default."""
-    from repro.observability.leakmon import CONFIG_SLUGS
-    from repro.robustness.campaign import default_campaign_configs
+    from repro.robustness.campaign import CAMPAIGN_CONFIGS
 
-    by_label = dict(default_campaign_configs())
-    return [
-        (CONFIG_SLUGS[slug], by_label[CONFIG_SLUGS[slug]])
-        for slug in slugs or CONFIG_SLUGS
-    ]
+    return [CAMPAIGN_CONFIGS[slug] for slug in slugs or CAMPAIGN_CONFIGS]
+
+
+def _campaign_report(matrices: list, verdict: str) -> int:
+    """Print campaign matrices, a blank line between each two.  Any
+    violation goes to stderr and exits 1; otherwise print ``verdict``."""
+    print("\n\n".join(matrix.format_matrix() for matrix in matrices))
+    violations = [v for matrix in matrices for v in matrix.violations]
+    if violations:
+        return _fail(f"VIOLATION: {violation}" for violation in violations)
+    print(verdict)
+    return 0
 
 
 def _demo_people(keyspace) -> None:
@@ -279,30 +285,33 @@ def _collisions(args: argparse.Namespace) -> int:
 def _faultcampaign(args: argparse.Namespace) -> int:
     from repro.robustness import run_campaign
 
-    result = run_campaign(seeds=args.seeds)
-    print(result.format_matrix())
-    recovered = sum(r.rows_recovered for r in result.records)
-    quarantined = sum(r.rows_quarantined for r in result.records)
-    print()
-    print(
-        f"resilient loader: {len(result.records)} faulted images, "
-        f"{len(result.resilient_failures)} crashes, "
-        f"{recovered} rows recovered, {quarantined} rows quarantined"
+    return _campaign_report(
+        [run_campaign(seeds=args.seeds)],
+        "matrix consistent with the paper's claims "
+        "(broken schemes corrupt silently, AEAD never does)",
     )
-    violations = result.check_paper_expectations()
-    if violations:
-        return _fail(f"VIOLATION: {violation}" for violation in violations)
-    print("matrix consistent with the paper's claims "
-          "(broken schemes corrupt silently, AEAD never does)")
-    return 0
 
 
 def _crashcampaign(args: argparse.Namespace) -> int:
-    from repro.durability import run_crash_campaign
-    from repro.durability.crashcampaign import CAMPAIGN_PHASES, CRASH_MODES
+    from repro.durability.crashcampaign import CRASH_MODES, run_crash_campaign
+    from repro.sharding.campaign import run_rotation_campaign
 
+    # Each phase's runner and verdict, in the order the phases run.
+    phases = {
+        "mutation": (
+            run_crash_campaign,
+            "every crash recovered to exactly the pre- or post-operation "
+            "state; audit hooks and retried transient failures are "
+            "byte-neutral",
+        ),
+        "rotation": (
+            run_rotation_campaign,
+            "every mid-rotation crash recovered each shard to exactly the "
+            "old or the new key epoch with the manifest verifying",
+        ),
+    }
     for names, known, what in [
-        (args.phases, CAMPAIGN_PHASES, "campaign phase"),
+        (args.phases, phases, "campaign phase"),
         (args.modes, CRASH_MODES, "crash mode"),
     ]:
         if names is not None and (not names or not set(names) <= set(known)):
@@ -310,36 +319,22 @@ def _crashcampaign(args: argparse.Namespace) -> int:
                 f"unknown or empty {what}(s); available: {', '.join(known)}"
             )
 
-    result = run_crash_campaign(
-        rows=args.rows,
-        limit=args.limit,
-        configs=_campaign_configs(args.configs),
-        modes=tuple(args.modes or CRASH_MODES),
-        phases=tuple(args.phases or CAMPAIGN_PHASES),
+    chosen = [phases[name] for name in phases if name in (args.phases or phases)]
+    configs = _campaign_configs(args.configs)
+    modes = tuple(args.modes or CRASH_MODES)
+    return _campaign_report(
+        [
+            run(rows=args.rows, limit=args.limit, configs=configs, modes=modes)
+            for run, _ in chosen
+        ],
+        "; ".join(verdict for _, verdict in chosen),
     )
-    print(result.format_matrix())
-    if not result.ok:
-        return _fail(f"VIOLATION: {violation}" for violation in result.violations)
-    messages = []
-    if result.per_config:
-        messages.append(
-            "every crash recovered to exactly the pre- or post-operation "
-            "state; audit hooks and retried transient failures are "
-            "byte-neutral"
-        )
-    if result.rotation is not None:
-        messages.append(
-            "every mid-rotation crash recovered each shard to exactly the "
-            "old or the new key epoch with the manifest verifying"
-        )
-    print("; ".join(messages))
-    return 0
 
 
 def _chaoscampaign(args: argparse.Namespace) -> int:
     from repro.resilience.chaos import run_chaos_campaign
 
-    result = run_chaos_campaign(
+    matrix = run_chaos_campaign(
         steps=args.steps,
         seed=args.seed,
         shard_count=args.shards,
@@ -347,17 +342,14 @@ def _chaoscampaign(args: argparse.Namespace) -> int:
         flaky=args.flaky,
         configs=_campaign_configs(args.configs),
     )
-    print(result.format_matrix())
-    if not result.ok:
-        return _fail(f"VIOLATION: {violation}" for violation in result.violations)
-    rollbacks = sum(r.rollbacks_injected for r in result.per_config)
-    corruptions = sum(r.corruptions for r in result.per_config)
-    print(
+    rollbacks = sum(r.rollbacks_injected for r in matrix.per_config)
+    corruptions = sum(r.corruptions for r in matrix.per_config)
+    return _campaign_report(
+        [matrix],
         f"no acknowledged commit lost, all {rollbacks} rollback(s) "
         f"detected, all {corruptions} single-replica corruption(s) "
-        f"repaired, replicas converged"
+        f"repaired, replicas converged",
     )
-    return 0
 
 
 def _scrub(args: argparse.Namespace) -> int:
@@ -708,9 +700,10 @@ def _audit_replay(
 
 def _audit_live(slugs: list[str] | None, log_dir: str | None) -> int:
     from repro.observability import LeakMonitor, write_snapshot
-    from repro.observability.leakmon import CONFIG_SLUGS, PROBES, run_live_profile
+    from repro.observability.leakmon import PROBES, run_live_profile
+    from repro.robustness.campaign import CAMPAIGN_CONFIGS
 
-    slugs = slugs or list(CONFIG_SLUGS)
+    slugs = slugs or list(CAMPAIGN_CONFIGS)
     directory = None
     if log_dir is not None:
         directory = Path(log_dir)
@@ -718,7 +711,8 @@ def _audit_live(slugs: list[str] | None, log_dir: str | None) -> int:
 
     rows = []
     mismatches = []
-    for slug, (label, config) in zip(slugs, _campaign_configs(slugs)):
+    for slug in slugs:
+        label, config = CAMPAIGN_CONFIGS[slug]
         sink = directory / f"audit-{slug}.jsonl" if directory else None
         monitor, events, offline = run_live_profile(config, label, sink_path=sink)
         streaming = monitor.verdicts()
@@ -1127,7 +1121,7 @@ def _parser() -> tuple[_Parser, dict]:
         "Sweep seeded storage faults across every configuration and print the "
         "detection matrix.  Exits 1 if the matrix contradicts the paper's claims "
         "or the resilient loader ever raises.")
-    sub.add_argument("--seeds", type=_integer, default=25, metavar="N",
+    sub.add_argument("--seeds", type=_at_least(1), default=25, metavar="N",
                      help="faults per configuration (default: %(default)s)")
 
     sub = command(

@@ -19,11 +19,7 @@ testable:
     boundary.
 """
 
-from repro.durability.crashcampaign import (
-    CAMPAIGN_PHASES,
-    CrashCampaignResult,
-    run_crash_campaign,
-)
+from repro.durability.crashcampaign import run_crash_campaign
 from repro.durability.manager import DurableDatabase, WalRecovery
 from repro.durability.retry import RetryingDisk, RetryPolicy
 from repro.durability.vdisk import (
@@ -43,8 +39,6 @@ from repro.durability.wal import (
 )
 
 __all__ = [
-    "CAMPAIGN_PHASES",
-    "CrashCampaignResult",
     "CrashDisk",
     "CrashPlan",
     "DurableDatabase",

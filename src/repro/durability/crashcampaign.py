@@ -68,12 +68,6 @@ from repro.durability.wal import journal_mac
 
 CRASH_MODES = ("cut", "torn", "drop")
 
-#: Campaign phases: "mutation" sweeps the journaled workload of this
-#: module; "rotation" sweeps the key-rotation workload of
-#: :mod:`repro.sharding.campaign` (imported lazily — it builds on this
-#: module).
-CAMPAIGN_PHASES = ("mutation", "rotation")
-
 _CRASH_MASTER_KEY = b"crashcampaign-master-key-0123456"
 
 _SCHEMA = TableSchema("people", [
@@ -368,68 +362,29 @@ class _MutationWorkload(SweepWorkload):
             self.violation("retried transient failures changed the final bytes")
 
 
-@dataclass
-class CrashCampaignResult(CampaignMatrix):
-    """The mutation sweep's matrix plus the rotation phase's own."""
-
-    phases: tuple[str, ...] = ("mutation",)
-    #: The rotation phase's matrix (None when not run).
-    rotation: CampaignMatrix | None = None
-
-    @property
-    def violations(self) -> list[str]:
-        rotation = self.rotation.violations if self.rotation is not None else []
-        return super().violations + rotation
-
-    def format_matrix(self) -> str:
-        parts = [super().format_matrix()] if self.per_config else []
-        if self.rotation is not None:
-            parts.append(self.rotation.format_matrix())
-        return "\n\n".join(parts)
-
-
 def run_crash_campaign(
     rows: int = 5,
     limit: int | None = None,
     configs: list[tuple[str, EncryptionConfig]] | None = None,
     master_key: bytes = _CRASH_MASTER_KEY,
     modes: tuple[str, ...] = CRASH_MODES,
-    phases: tuple[str, ...] = CAMPAIGN_PHASES,
-) -> CrashCampaignResult:
+) -> CampaignMatrix:
     """Sweep every (or ``limit`` evenly-spaced) write boundaries of the
-    workload under every crash mode, for every configuration.
-
-    ``phases`` selects what gets power-cut: the journaled mutation
-    workload ("mutation"), the sharded key-rotation protocol
-    ("rotation"), or — the default — both."""
+    journaled mutation workload under every crash mode, for every
+    configuration.  :func:`repro.sharding.campaign.run_rotation_campaign`
+    sweeps the key-rotation workload the same way."""
     _check_modes(modes)
-    for phase in phases:
-        if phase not in CAMPAIGN_PHASES:
-            raise ValueError(f"unknown campaign phase {phase!r}")
-    if not phases:
-        raise ValueError("at least one campaign phase is required")
     configs = configs if configs is not None else default_campaign_configs()
-    campaign = CrashCampaignResult(
+    campaign = CampaignMatrix(
         ConfigCrashResult,
         sweep_caption(
             "crash-recovery campaign",
             f"{rows}-row workload, modes {'/'.join(modes)}",
             limit,
         ),
-        phases=tuple(phases),
     )
-    if "mutation" in phases:
-        for label, config in configs:
-            workload = _MutationWorkload(
-                campaign.add(label), config, master_key, rows
-            )
-            sweep(workload, limit, tuple(modes))
-            workload.flaky_retry_check()
-    if "rotation" in phases:
-        # Imported lazily: the rotation workload builds on this module.
-        from repro.sharding.campaign import run_rotation_campaign
-
-        campaign.rotation = run_rotation_campaign(
-            rows=rows, limit=limit, configs=configs, modes=tuple(modes)
-        )
+    for label, config in configs:
+        workload = _MutationWorkload(campaign.add(label), config, master_key, rows)
+        sweep(workload, limit, tuple(modes))
+        workload.flaky_retry_check()
     return campaign

@@ -53,16 +53,6 @@ FREQUENCY_MIN_SAMPLES = 8
 #: Modal share above which the histogram is considered recoverable.
 FREQUENCY_MODAL_SHARE = 0.5
 
-#: CLI slugs for the six campaign configurations.
-CONFIG_SLUGS = {
-    "plain": "plaintext baseline",
-    "xor": "[3] XOR-Scheme",
-    "append": "[3] Append-Scheme",
-    "dbsec2005": "[12] index (+append cells)",
-    "aead-eax": "fixed AEAD (EAX)",
-    "aead-ocb": "fixed AEAD (OCB)",
-}
-
 
 class LeakMonitor:
     """Online leakage estimation over an audit-event stream.

@@ -33,7 +33,7 @@ from repro.observability.health import (
     ThresholdRule,
     default_rules,
 )
-from repro.observability.leakmon import CONFIG_SLUGS, LeakMonitor
+from repro.observability.leakmon import LeakMonitor
 from repro.observability.metrics import REGISTRY
 from repro.observability.profile import build_query_profiles
 from repro.observability.runmeta import run_metadata
@@ -77,13 +77,18 @@ STRUCTURAL_LEAK_COUNTERS = (
     "leak.index_linkage.collisions",
 )
 
-_SLUG_BY_LABEL = {label: slug for slug, label in CONFIG_SLUGS.items()}
-
 
 def config_slug(label: str, config) -> str:
     """The CLI slug for a campaign configuration label (``aead-eax``,
     ``dbsec2005``, …); falls back to the cell-scheme label."""
-    return _SLUG_BY_LABEL.get(label) or scheme_label(config)
+    # Imported lazily: the campaign module imports the observability
+    # package, which imports this module.
+    from repro.robustness.campaign import CAMPAIGN_CONFIGS
+
+    for slug, (campaign_label, _) in CAMPAIGN_CONFIGS.items():
+        if campaign_label == label:
+            return slug
+    return scheme_label(config)
 
 
 def monitor_scenarios() -> list[str]:

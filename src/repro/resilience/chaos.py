@@ -51,7 +51,6 @@ from repro.core.encrypted_db import EncryptionConfig
 from repro.core.keys import KeyChain
 from repro.errors import DiskError, StaleImageError, TransientDiskError
 from repro.observability.flightrecorder import RECORDER
-from repro.observability.timeseries import HUB
 from repro.primitives.rng import DeterministicRandom
 
 from repro.durability.crashcampaign import (
@@ -506,14 +505,4 @@ def run_chaos_campaign(
             result.events += 1
             handlers[_pick_event(rng)]()
         run.finish()
-        if HUB.enabled:
-            HUB.tick()
-            for name, value in (
-                ("acked", result.inserts_acked),
-                ("repairs", result.repairs),
-                ("rollbacks_injected", result.rollbacks_injected),
-                ("rollbacks_detected", result.rollbacks_detected),
-                ("violations", len(result.violations)),
-            ):
-                HUB.record(f"chaos.{name}", value, labels={"config": label})
     return campaign

@@ -30,7 +30,7 @@ from repro.robustness.recovery import (
 )
 from repro.robustness.campaign import (
     CAMPAIGN_OUTCOMES,
-    CampaignResult,
+    FaultOutcome,
     default_campaign_configs,
     run_campaign,
 )
@@ -46,7 +46,7 @@ __all__ = [
     "RecoveryResult",
     "load_database_resilient",
     "CAMPAIGN_OUTCOMES",
-    "CampaignResult",
+    "FaultOutcome",
     "default_campaign_configs",
     "run_campaign",
 ]

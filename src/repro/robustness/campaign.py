@@ -27,14 +27,13 @@ observes:
 
 Independently, every faulted image is fed to
 :func:`~repro.robustness.recovery.load_database_resilient`, which must
-*never* raise; any exception it leaks is recorded as a resilient
-failure and fails the campaign.
+*never* raise; any exception it leaks is a violation on its
+configuration's row, next to the §3.1/§4 expectations that row breaks.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.encrypted_db import EncryptedDatabase, EncryptionConfig
 from repro.engine.database import Database
@@ -43,10 +42,9 @@ from repro.engine.schema import Column, ColumnType, TableSchema
 from repro.engine.storage import dump_database, load_database
 from repro.errors import CryptoError, ReproError, StorageFormatError
 from repro.observability.flightrecorder import RECORDER
-from repro.observability.timeseries import HUB
-from repro.robustness.faults import FaultSpec, map_image, plan_fault
+from repro.robustness.faults import map_image, plan_fault
 from repro.robustness.recovery import load_database_resilient
-from repro.robustness.reporting import format_detection_matrix
+from repro.robustness.reporting import CampaignMatrix, ConfigOutcome
 
 DETECTED_MAC = "detected-by-MAC"
 DETECTED_STRUCTURAL = "detected-structurally"
@@ -84,96 +82,75 @@ _SCHEMA = TableSchema("records", [
 ])
 
 
+#: Every scheme family the paper analyses, broken and fixed, by CLI
+#: slug: ``slug -> (label, config)``.  ``EncryptionConfig`` is frozen,
+#: so every campaign shares these instances.
+CAMPAIGN_CONFIGS: dict[str, tuple[str, EncryptionConfig]] = {
+    "plain": ("plaintext baseline", EncryptionConfig(
+        cell_scheme="plain", index_scheme="plain")),
+    "xor": ("[3] XOR-Scheme", EncryptionConfig(
+        cell_scheme="xor", index_scheme="sdm2004", iv_policy="zero")),
+    "append": ("[3] Append-Scheme", EncryptionConfig(
+        cell_scheme="append", index_scheme="sdm2004", iv_policy="zero")),
+    "dbsec2005": ("[12] index (+append cells)", EncryptionConfig(
+        cell_scheme="append", index_scheme="dbsec2005", iv_policy="zero")),
+    "aead-eax": ("fixed AEAD (EAX)", EncryptionConfig.paper_fixed("eax")),
+    "aead-ocb": ("fixed AEAD (OCB)", EncryptionConfig.paper_fixed("ocb")),
+}
+
+
 def default_campaign_configs() -> list[tuple[str, EncryptionConfig]]:
     """Every scheme family the paper analyses, broken and fixed."""
-    return [
-        ("plaintext baseline", EncryptionConfig(
-            cell_scheme="plain", index_scheme="plain")),
-        ("[3] XOR-Scheme", EncryptionConfig(
-            cell_scheme="xor", index_scheme="sdm2004", iv_policy="zero")),
-        ("[3] Append-Scheme", EncryptionConfig(
-            cell_scheme="append", index_scheme="sdm2004", iv_policy="zero")),
-        ("[12] index (+append cells)", EncryptionConfig(
-            cell_scheme="append", index_scheme="dbsec2005", iv_policy="zero")),
-        ("fixed AEAD (EAX)", EncryptionConfig.paper_fixed("eax")),
-        ("fixed AEAD (OCB)", EncryptionConfig.paper_fixed("ocb")),
-    ]
+    return list(CAMPAIGN_CONFIGS.values())
 
 
 @dataclass
-class FaultRecord:
-    """One (configuration, fault) trial."""
+class FaultOutcome(ConfigOutcome):
+    """The fault campaign's row for one configuration: how many faults
+    ended in each outcome, and the rows the resilient loader recovered
+    and quarantined over all the faulted images."""
 
-    config: str
-    fault: FaultSpec
-    outcome: str
-    resilient_ok: bool
-    resilient_error: str = ""
+    COLUMNS = (
+        (DETECTED_MAC, "detected_by_mac"),
+        (DETECTED_STRUCTURAL, "detected_structurally"),
+        (SILENT_CORRUPTION, "silent_corruption"),
+        (NO_EFFECT, "no_effect"),
+        (LOADER_CRASH, "loader_crash"),
+        ("recovered", "rows_recovered"),
+        ("quarantined", "rows_quarantined"),
+    )
+
+    detected_by_mac: int = 0
+    detected_structurally: int = 0
+    silent_corruption: int = 0
+    no_effect: int = 0
+    loader_crash: int = 0
     rows_recovered: int = 0
     rows_quarantined: int = 0
 
+    def count(self, outcome: str) -> None:
+        """Count one fault that ended in ``outcome``."""
+        name = dict(self.COLUMNS)[outcome]
+        setattr(self, name, getattr(self, name) + 1)
 
-@dataclass
-class CampaignResult:
-    """The full detection matrix plus the per-trial log."""
-
-    seeds: int
-    rows: int
-    outcomes: dict[str, Counter] = field(default_factory=dict)
-    records: list[FaultRecord] = field(default_factory=list)
-
-    @property
-    def resilient_failures(self) -> list[FaultRecord]:
-        return [r for r in self.records if not r.resilient_ok]
-
-    def counts(self, config: str) -> Counter:
-        return self.outcomes.get(config, Counter())
-
-    def format_matrix(self) -> str:
-        return format_detection_matrix(
-            CAMPAIGN_OUTCOMES,
-            [
-                (config, [counter.get(outcome, 0) for outcome in CAMPAIGN_OUTCOMES])
-                for config, counter in self.outcomes.items()
-            ],
-            caption=(
-                f"fault-injection detection matrix "
-                f"({self.seeds} seeded faults per configuration, "
-                f"{self.rows}-row database)"
-            ),
-        )
-
-    def check_paper_expectations(self) -> list[str]:
-        """The §3.1/§4 claims, as checkable assertions over the matrix.
-
-        Returns human-readable violations (empty = matrix agrees with
-        the paper): the broken Append-Scheme must exhibit silent
-        corruption, no fixed AEAD configuration may, and nothing may
-        ever crash a loader.
-        """
-        violations = []
-        for config, counter in self.outcomes.items():
-            if counter.get(LOADER_CRASH, 0):
-                violations.append(
-                    f"{config}: {counter[LOADER_CRASH]} loader crash(es)"
-                )
-            if "AEAD" in config and counter.get(SILENT_CORRUPTION, 0):
-                violations.append(
-                    f"{config}: {counter[SILENT_CORRUPTION]} silent "
-                    f"corruption(s) under an authenticated scheme"
-                )
-            if "Append-Scheme" in config and not counter.get(SILENT_CORRUPTION, 0):
-                violations.append(
-                    f"{config}: expected at least one silent corruption "
-                    f"(§3.1 forgery) but observed none"
-                )
-        if self.resilient_failures:
-            for record in self.resilient_failures:
-                violations.append(
-                    f"{record.config}: resilient loader raised on "
-                    f"{record.fault.name}: {record.resilient_error}"
-                )
-        return violations
+    def check_paper_expectations(self) -> None:
+        """Record the §3.1/§4 claims this row breaks as violations: the
+        broken Append-Scheme must exhibit silent corruption, no fixed
+        AEAD configuration may, and nothing may ever crash a loader."""
+        if self.loader_crash:
+            self.violations.append(
+                f"{self.config}: {self.loader_crash} loader crash(es)"
+            )
+        if "AEAD" in self.config and self.silent_corruption:
+            self.violations.append(
+                f"{self.config}: {self.silent_corruption} silent "
+                f"corruption(s) under an authenticated scheme"
+            )
+        if "Append-Scheme" in self.config and not self.silent_corruption:
+            self.violations.append(
+                f"{self.config}: expected at least one silent corruption "
+                f"(§3.1 forgery) but observed none"
+            )
 
 
 def build_campaign_db(
@@ -301,21 +278,27 @@ def run_campaign(
     rows: int = 8,
     configs: list[tuple[str, EncryptionConfig]] | None = None,
     master_key: bytes = _CAMPAIGN_MASTER_KEY,
-) -> CampaignResult:
+) -> CampaignMatrix:
     """Sweep ``seeds`` deterministic faults over every configuration.
 
     Fault *s* against a configuration is planned from seed *s* on that
     configuration's own image, so runs are exactly reproducible.
     """
+    if seeds < 1:
+        raise ValueError("seeds must be positive")
     configs = configs if configs is not None else default_campaign_configs()
-    result = CampaignResult(seeds=seeds, rows=rows)
+    campaign = CampaignMatrix(
+        FaultOutcome,
+        f"fault-injection detection matrix ({seeds} seeded faults per "
+        f"configuration, {rows}-row database)",
+    )
     for label, config in configs:
+        result = campaign.add(label)
         source_db = build_campaign_db(config, rows, master_key)
         image = dump_database(source_db)
         chart = map_image(image)
         catalog = _catalog(source_db)
         baseline = logical_state(source_db)
-        counter: Counter = Counter()
         for seed in range(seeds):
             fault = plan_fault(chart, seed)
             faulted = fault.apply(image)
@@ -328,7 +311,7 @@ def run_campaign(
             # fixture smell, not a restore.
             trial_db = EncryptedDatabase(master_key, config)
             outcome = _classify(faulted, trial_db, catalog, baseline)
-            counter[outcome] += 1
+            result.count(outcome)
             if outcome in (DETECTED_STRUCTURAL, DETECTED_MAC):
                 RECORDER.record_detection(
                     "storage-fault", config=label, seed=seed, outcome=outcome
@@ -342,34 +325,19 @@ def run_campaign(
             # the class is reported but not gated.
 
             resilient_db = EncryptedDatabase(master_key, config)
-            record = FaultRecord(
-                config=label, fault=fault, outcome=outcome, resilient_ok=True
-            )
             try:
                 recovered = load_database_resilient(
                     faulted,
                     cell_codec=resilient_db.cell_codec,
                     index_codec_factory=resilient_db._build_index_codec,
                 )
-                record.rows_recovered = recovered.report.rows_recovered
-                record.rows_quarantined = recovered.report.rows_quarantined
             except Exception as exc:
-                record.resilient_ok = False
-                record.resilient_error = f"{type(exc).__name__}: {exc}"
-            result.records.append(record)
-        result.outcomes[label] = counter
-        if HUB.enabled:
-            HUB.tick()
-            labels = {"config": label}
-            sweep = [r for r in result.records if r.config == label]
-            HUB.record(
-                "recovery.rows_quarantined",
-                sum(r.rows_quarantined for r in sweep),
-                labels=labels,
-            )
-            HUB.record(
-                "recovery.rows_recovered",
-                sum(r.rows_recovered for r in sweep),
-                labels=labels,
-            )
-    return result
+                result.violations.append(
+                    f"{label}: resilient loader raised on {fault.name}: "
+                    f"{type(exc).__name__}: {exc}"
+                )
+                continue
+            result.rows_recovered += recovered.report.rows_recovered
+            result.rows_quarantined += recovered.report.rows_quarantined
+        result.check_paper_expectations()
+    return campaign

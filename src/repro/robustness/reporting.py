@@ -2,29 +2,17 @@
 
 Every campaign ends the same way: a per-configuration matrix (one row
 per scheme configuration, one column per counted outcome, a caption
-describing the sweep) plus, on failure, a violation listing.  The crash,
-rotation and chaos campaigns return a :class:`CampaignMatrix` of
-:class:`ConfigOutcome` rows; the fault campaign formats its outcome
-counters through :func:`format_detection_matrix` directly.
+describing the sweep) plus, on failure, a violation listing.  The
+fault, crash, rotation and chaos campaigns each return one
+:class:`CampaignMatrix` of :class:`ConfigOutcome` rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Sequence
+from typing import Any, ClassVar
 
 from repro.analysis.report import format_table
-
-
-def format_detection_matrix(
-    columns: Sequence[str],
-    per_config: Sequence[tuple[str, Sequence[Any]]],
-    caption: str = "",
-) -> str:
-    """One campaign matrix: a ``configuration`` column followed by the
-    outcome ``columns``, one row per ``(config label, values)`` pair."""
-    rows = [[label, *values] for label, values in per_config]
-    return format_table(["configuration", *columns], rows, caption=caption)
 
 
 def sweep_caption(kind: str, detail: str, limit: int | None = None) -> str:
@@ -75,8 +63,9 @@ class CampaignMatrix:
         return not self.violations
 
     def format_matrix(self) -> str:
-        return format_detection_matrix(
-            [header for header, _ in self.outcome.COLUMNS] + ["violations"],
-            [(result.config, result.row()) for result in self.per_config],
+        headers = [header for header, _ in self.outcome.COLUMNS]
+        return format_table(
+            ["configuration", *headers, "violations"],
+            [[result.config, *result.row()] for result in self.per_config],
             caption=self.caption,
         )

@@ -16,7 +16,6 @@ PLAINTEXT = EncryptionConfig(cell_scheme="plain", index_scheme="plain")
 def test_exhaustive_plaintext_sweep_never_finds_a_hybrid():
     result = run_crash_campaign(
         rows=2, configs=[("plaintext baseline", PLAINTEXT)],
-        phases=("mutation",),
     )
     assert result.ok
     assert result.violations == []
@@ -32,7 +31,6 @@ def test_encrypted_sweep_with_a_limit():
     result = run_crash_campaign(
         rows=2, limit=12,
         configs=[("fixed AEAD (EAX)", EncryptionConfig.paper_fixed("eax"))],
-        phases=("mutation",),
     )
     assert result.ok
     (config,) = result.per_config
@@ -53,27 +51,9 @@ def test_matrix_formats_and_modes_validate():
     result = run_crash_campaign(
         rows=2, limit=4, modes=("cut",),
         configs=[("plaintext baseline", PLAINTEXT)],
-        phases=("mutation",),
     )
     matrix = result.format_matrix()
     assert "plaintext baseline" in matrix
     assert "crash" in matrix.lower()
     with pytest.raises(ValueError):
         run_crash_campaign(rows=2, modes=("meteor",))
-    with pytest.raises(ValueError):
-        run_crash_campaign(rows=2, phases=("teleport",))
-    with pytest.raises(ValueError):
-        run_crash_campaign(rows=2, phases=())
-
-
-def test_rotation_phase_rides_along():
-    result = run_crash_campaign(
-        rows=2, limit=3, modes=("cut",),
-        configs=[("plaintext baseline", PLAINTEXT)],
-    )
-    assert result.phases == ("mutation", "rotation")
-    assert result.rotation is not None
-    assert result.rotation.per_config[0].trials > 0
-    assert result.ok
-    matrix = result.format_matrix()
-    assert "key-rotation crash campaign" in matrix

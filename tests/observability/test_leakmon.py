@@ -4,7 +4,7 @@ import pytest
 
 from repro.observability import LeakMonitor, render_prometheus, write_snapshot
 from repro.observability.audit import AUDIT
-from repro.observability.leakmon import CONFIG_SLUGS, PROBES, run_live_profile
+from repro.observability.leakmon import PROBES, run_live_profile
 from repro.robustness.campaign import default_campaign_configs
 
 
@@ -19,12 +19,6 @@ def test_probe_catalogue_matches_offline():
     from repro.analysis.leakage import PROBES as OFFLINE_PROBES
 
     assert PROBES == OFFLINE_PROBES
-
-
-def test_config_slugs_cover_the_campaign():
-    assert sorted(CONFIG_SLUGS.values()) == sorted(
-        label for label, _ in default_campaign_configs()
-    )
 
 
 @pytest.mark.parametrize(

@@ -44,24 +44,69 @@ def test_attacks(capsys):
             assert line.rstrip().endswith("no")
 
 
+FAULTCAMPAIGN_3 = """\
+fault-injection detection matrix (3 seeded faults per configuration, 8-row database)
+configuration               detected-by-MAC  detected-structurally  silent-corruption  no-effect  loader-crash  recovered  quarantined  violations
+--------------------------  ---------------  ---------------------  -----------------  ---------  ------------  ---------  -----------  ----------
+plaintext baseline          0                2                      1                  0          0             15         1            0
+[3] XOR-Scheme              2                0                      1                  0          0             0          24           0
+[3] Append-Scheme           0                1                      1                  1          0             21         3            0
+[12] index (+append cells)  1                2                      0                  0          0             20         4            0
+fixed AEAD (EAX)            2                1                      0                  0          0             22         2            0
+fixed AEAD (OCB)            2                1                      0                  0          0             22         2            0
+matrix consistent with the paper's claims (broken schemes corrupt silently, AEAD never does)
+"""
+
+
 def test_faultcampaign(capsys):
     assert main(["faultcampaign", "--seeds", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "detection matrix" in out
-    assert "[3] Append-Scheme" in out
-    assert "0 crashes" in out
-    assert "consistent with the paper's claims" in out
+    assert capsys.readouterr().out == FAULTCAMPAIGN_3
+
+
+FAULTCAMPAIGN_2_MATRIX = """\
+fault-injection detection matrix (2 seeded faults per configuration, 8-row database)
+configuration               detected-by-MAC  detected-structurally  silent-corruption  no-effect  loader-crash  recovered  quarantined  violations
+--------------------------  ---------------  ---------------------  -----------------  ---------  ------------  ---------  -----------  ----------
+plaintext baseline          0                2                      0                  0          0             8          0            0
+[3] XOR-Scheme              2                0                      0                  0          0             0          16           0
+[3] Append-Scheme           0                1                      0                  1          0             14         2            1
+[12] index (+append cells)  0                2                      0                  0          0             13         3            0
+fixed AEAD (EAX)            1                1                      0                  0          0             15         1            0
+fixed AEAD (OCB)            1                1                      0                  0          0             15         1            0
+"""
+
+
+def test_faultcampaign_violation_exits_1_without_a_verdict(capsys):
+    # Two faults per configuration are too few to see a §3.1 forgery:
+    # a finding, reported on the Append-Scheme's row and on stderr.
+    assert main(["faultcampaign", "--seeds", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "VIOLATION: [3] Append-Scheme: expected at least one silent "
+        "corruption (§3.1 forgery) but observed none\n"
+    )
+    assert captured.out == FAULTCAMPAIGN_2_MATRIX + "\n"
+    append_row = next(
+        line for line in captured.out.splitlines()
+        if line.startswith("[3] Append-Scheme")
+    )
+    assert append_row.split()[-1] == "1"
 
 
 def test_faultcampaign_rejects_unknown_argument(capsys):
     assert main(["faultcampaign", "--bogus"]) == 2
 
 
-def test_faultcampaign_rejects_non_integer_seeds(capsys):
-    assert main(["faultcampaign", "--seeds", "abc"]) == 2
+@pytest.mark.parametrize("seeds, problem", [
+    ("abc", "--seeds must be an integer"),
+    ("0", "--seeds must be at least 1"),
+    ("-3", "--seeds must be at least 1"),
+], ids=["abc", "0", "-3"])
+def test_faultcampaign_rejects_non_integer_seeds(seeds, problem, capsys):
+    assert main(["faultcampaign", "--seeds", seeds]) == 2
     captured = capsys.readouterr()
-    assert "must be an integer" in captured.err
-    assert "Commands" in captured.out  # usage text, not a traceback
+    assert problem in captured.err
+    assert "Commands" in captured.out  # usage text, not a traceback or a matrix
 
 
 def test_collisions_rejects_non_integer_count(capsys):
@@ -322,7 +367,7 @@ CI_ROTATE_FILES = {
 
 def test_rotate_chains_epochs_across_invocations(tmp_path, capsys):
     keyspace_dir = tmp_path / "ks"
-    # The two runs of CI's crash-smoke job.
+    # The two runs of CI's campaign-smoke job.
     assert main(["rotate", "--dir", str(keyspace_dir),
                  "--new-seed", "ci-epoch-1"]) == 0
     capsys.readouterr()
@@ -471,6 +516,28 @@ def test_crashcampaign_rejects_unknown_phase(capsys):
     assert "campaign phase" in capsys.readouterr().err
 
 
+CRASHCAMPAIGN_BOTH_PHASES = """\
+crash-recovery campaign (2-row workload, modes cut, limit 3 crash points per configuration)
+configuration       boundaries  trials  pre  post  fallbacks  truncations  retried  violations
+------------------  ----------  ------  ---  ----  ---------  -----------  -------  ----------
+plaintext baseline  33          3       0    3     0          1            8        0
+
+key-rotation crash campaign (2-row workload, 2 shards, modes cut, limit 3 crash points per configuration)
+configuration       boundaries  trials  pre  post  rollbacks  rollforwards  violations
+------------------  ----------  ------  ---  ----  ---------  ------------  ----------
+plaintext baseline  50          3       0    3     0          2             0
+every crash recovered to exactly the pre- or post-operation state; audit hooks and \
+retried transient failures are byte-neutral; every mid-rotation crash recovered each \
+shard to exactly the old or the new key epoch with the manifest verifying
+"""
+
+
+def test_crashcampaign_runs_both_phases_mutation_first(capsys):
+    assert main(["crashcampaign", "--rows", "2", "--limit", "3", "--modes", "cut",
+                 "--configs", "plain"]) == 0
+    assert capsys.readouterr().out == CRASHCAMPAIGN_BOTH_PHASES
+
+
 def test_audit_live_then_replay_round_trip(tmp_path, capsys):
     assert main(["audit", "--live", "--configs", "aead-eax",
                  "--log-dir", str(tmp_path)]) == 0
@@ -543,12 +610,20 @@ def test_monitor_rejects_unknown_scenario_and_injection(capsys):
     assert "unknown monitor argument" in capsys.readouterr().err
 
 
+CHAOSCAMPAIGN_10 = """\
+chaos campaign (10 scheduled events, seed 5, 3 flaky+retrying replicas, 2 shards per configuration)
+configuration       events  acked  crashes  corruptions  repairs  rollbacks  detected  rotations  scrubs  violations
+------------------  ------  -----  -------  -----------  -------  ---------  --------  ---------  ------  ----------
+plaintext baseline  10      3      2        1            0        2          2         0          3       0
+no acknowledged commit lost, all 2 rollback(s) detected, all 1 single-replica \
+corruption(s) repaired, replicas converged
+"""
+
+
 def test_chaoscampaign_small_schedule_passes(capsys):
     assert main(["chaoscampaign", "--steps", "10", "--seed", "5",
                  "--configs", "plain"]) == 0
-    out = capsys.readouterr().out
-    assert "chaos campaign" in out
-    assert "no acknowledged commit lost" in out
+    assert capsys.readouterr().out == CHAOSCAMPAIGN_10
 
 
 def test_chaoscampaign_rejects_unknown_config(capsys):
