@@ -843,6 +843,21 @@ def _explain(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_monitored(scenario: str | None, limit: int | None) -> None:
+    """Check the scenario of a monitored run (None for a forensics mode that
+    runs none) against ``--limit``, which counts the crash points of the
+    rotation campaign and of nothing else."""
+    from repro.observability.monitor import CAMPAIGN_SCENARIO, monitor_scenarios
+
+    if scenario is not None and scenario not in monitor_scenarios():
+        raise UsageError(
+            f"unknown scenario {scenario!r}; "
+            f"available: {', '.join(monitor_scenarios())}"
+        )
+    if limit is not None and scenario != CAMPAIGN_SCENARIO:
+        raise UsageError(f"--limit applies only to --scenario {CAMPAIGN_SCENARIO}")
+
+
 def _monitor(args: argparse.Namespace) -> int:
     from repro.bench import load_report
     from repro.observability.export import (
@@ -852,18 +867,13 @@ def _monitor(args: argparse.Namespace) -> int:
     )
     from repro.observability.health import load_rules
     from repro.observability.monitor import (
-        monitor_scenarios,
         run_monitor,
         validate_health_report,
         write_health,
     )
 
     scenario = args.scenario
-    if scenario not in monitor_scenarios():
-        raise UsageError(
-            f"unknown scenario {scenario!r}; "
-            f"available: {', '.join(monitor_scenarios())}"
-        )
+    _check_monitored(scenario, args.limit)
     configs = _campaign_configs(args.configs or ["aead-eax"])
 
     baseline = None
@@ -972,17 +982,11 @@ def _forensics(args: argparse.Namespace) -> int:
             "forensics requires exactly one of: a FLIGHT.json path, "
             "--chaos, or --healthy"
         )
+    _check_monitored(args.scenario if args.healthy else None, args.limit)
     out = args.out
 
     if args.healthy:
-        from repro.observability.monitor import monitor_scenarios
-
         scenario = args.scenario
-        if scenario not in monitor_scenarios():
-            raise UsageError(
-                f"unknown scenario {scenario!r}; "
-                f"available: {', '.join(monitor_scenarios())}"
-            )
         health, doc, incidents = run_healthy_flight(
             scenario=scenario,
             inject=tuple(args.inject),
@@ -1083,7 +1087,7 @@ def _parser() -> tuple[_Parser, dict]:
         "--inject", action="append", default=[], type=_injection, metavar="FAULT",
         help="simulate cipher-miscount or wal-fallback, so that the alarms must "
         "ring and the run exit 1; repeatable")
-    monitored.add_argument("--limit", type=_integer, metavar="N",
+    monitored.add_argument("--limit", type=_at_least(1), metavar="N",
                            help="crash points of the rotation_campaign scenario")
     monitored.add_argument("--out", type=_output, metavar="PATH",
                            help="write the run's JSON document to PATH")

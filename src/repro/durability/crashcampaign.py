@@ -100,9 +100,11 @@ def _round_trips(config: EncryptionConfig, master_key: bytes) -> bool:
 
 
 def _crash_points(total: int, limit: int | None) -> list[int]:
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be positive")
     if limit is None or total <= limit:
         return list(range(total))
-    if limit <= 1:
+    if limit == 1:
         return [0]
     return sorted({round(i * (total - 1) / (limit - 1)) for i in range(limit)})
 

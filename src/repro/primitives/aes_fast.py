@@ -9,21 +9,29 @@ same GF(2^8) arithmetic and S-box the reference uses — nothing opaque is
 embedded — and byte-for-byte equivalence against the reference cipher is
 pinned by the backend-parity tests and the CI parity matrix.
 
-State layout: the 16-byte block is four 32-bit words, one per column,
-packed big-endian (row 0 in the high byte).  Word ``c`` of the round
-transform reads row ``r`` from state word ``(c + r) % 4`` (ShiftRows) and
-folds the MixColumns matrix through the tables:
+State layout: between rounds the state is 16 octets, column by column
+(octet ``4c + r`` is row ``r`` of column ``c``), and each round unpacks
+them into locals.  Column ``c`` of the round output reads row ``r`` from
+input column ``(c + r) % 4`` (ShiftRows), so the octet indices are fixed:
+encryption's four columns read octets (0, 5, 10, 15), (4, 9, 14, 3),
+(8, 13, 2, 7) and (12, 1, 6, 11), row ``r`` through table ``Tr``, which
+folds the MixColumns matrix in:
 
     T0[x] = (2s, s, s, 3s)   T1[x] = (3s, 2s, s, s)
     T2[x] = (s, 3s, 2s, s)   T3[x] = (s, s, 3s, 2s)     with s = SBOX[x]
 
-The last round has no MixColumns; it reads the S-box pre-shifted into
-each row's byte of a word.  Decryption uses the equivalent inverse
-cipher: InvMixColumns folded into TD tables plus round keys transformed
-by InvMixColumns.  Key schedules come from the shared cache in
-``repro.primitives.aes`` (one expansion per distinct key across both
-backends); the word schedules derived from them, one 4-tuple per round,
-are cached here as well.
+Each table entry is a column word, big-endian (row 0 in the high byte).
+The four column words, each XORed with its round-key word, are packed
+into the next state's octets, so no shift or mask is left in a round.
+The last round has no MixColumns; it reads the same octets through the
+S-box pre-shifted into each row's byte of a word.  Decryption uses the
+equivalent inverse cipher: InvMixColumns folded into TD tables plus round
+keys transformed by InvMixColumns.  InvShiftRows reads row ``r`` from
+column ``(c - r) % 4``, so its columns read octets (0, 13, 10, 7),
+(4, 1, 14, 11), (8, 5, 2, 15) and (12, 9, 6, 3).  Key schedules come from
+the shared cache in ``repro.primitives.aes`` (one expansion per distinct
+key across both backends); the word schedules derived from them, one
+4-tuple per round, are cached here as well.
 """
 
 from __future__ import annotations
@@ -149,21 +157,21 @@ def _encrypt(
 ) -> bytes:
     (k0, k1, k2, k3), middle, (l0, l1, l2, l3) = schedule
     s0, s1, s2, s3 = unpack(block)
-    s0 ^= k0
-    s1 ^= k1
-    s2 ^= k2
-    s3 ^= k3
+    s = pack(s0 ^ k0, s1 ^ k1, s2 ^ k2, s3 ^ k3)
     for k0, k1, k2, k3 in middle:
-        u0 = t0[s0 >> 24] ^ t1[s1 >> 16 & 255] ^ t2[s2 >> 8 & 255] ^ t3[s3 & 255] ^ k0
-        u1 = t0[s1 >> 24] ^ t1[s2 >> 16 & 255] ^ t2[s3 >> 8 & 255] ^ t3[s0 & 255] ^ k1
-        u2 = t0[s2 >> 24] ^ t1[s3 >> 16 & 255] ^ t2[s0 >> 8 & 255] ^ t3[s1 & 255] ^ k2
-        s3 = t0[s3 >> 24] ^ t1[s0 >> 16 & 255] ^ t2[s1 >> 8 & 255] ^ t3[s2 & 255] ^ k3
-        s0, s1, s2 = u0, u1, u2
+        x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, x15 = s
+        s = pack(
+            t0[x0] ^ t1[x5] ^ t2[x10] ^ t3[x15] ^ k0,
+            t0[x4] ^ t1[x9] ^ t2[x14] ^ t3[x3] ^ k1,
+            t0[x8] ^ t1[x13] ^ t2[x2] ^ t3[x7] ^ k2,
+            t0[x12] ^ t1[x1] ^ t2[x6] ^ t3[x11] ^ k3,
+        )
+    x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, x15 = s
     return pack(
-        f0[s0 >> 24] ^ f1[s1 >> 16 & 255] ^ f2[s2 >> 8 & 255] ^ f3[s3 & 255] ^ l0,
-        f0[s1 >> 24] ^ f1[s2 >> 16 & 255] ^ f2[s3 >> 8 & 255] ^ f3[s0 & 255] ^ l1,
-        f0[s2 >> 24] ^ f1[s3 >> 16 & 255] ^ f2[s0 >> 8 & 255] ^ f3[s1 & 255] ^ l2,
-        f0[s3 >> 24] ^ f1[s0 >> 16 & 255] ^ f2[s1 >> 8 & 255] ^ f3[s2 & 255] ^ l3,
+        f0[x0] ^ f1[x5] ^ f2[x10] ^ f3[x15] ^ l0,
+        f0[x4] ^ f1[x9] ^ f2[x14] ^ f3[x3] ^ l1,
+        f0[x8] ^ f1[x13] ^ f2[x2] ^ f3[x7] ^ l2,
+        f0[x12] ^ f1[x1] ^ f2[x6] ^ f3[x11] ^ l3,
     )
 
 
@@ -183,21 +191,21 @@ def _decrypt(
 ) -> bytes:
     (k0, k1, k2, k3), middle, (l0, l1, l2, l3) = schedule
     s0, s1, s2, s3 = unpack(block)
-    s0 ^= k0
-    s1 ^= k1
-    s2 ^= k2
-    s3 ^= k3
+    s = pack(s0 ^ k0, s1 ^ k1, s2 ^ k2, s3 ^ k3)
     for k0, k1, k2, k3 in middle:
-        u0 = d0[s0 >> 24] ^ d1[s3 >> 16 & 255] ^ d2[s2 >> 8 & 255] ^ d3[s1 & 255] ^ k0
-        u1 = d0[s1 >> 24] ^ d1[s0 >> 16 & 255] ^ d2[s3 >> 8 & 255] ^ d3[s2 & 255] ^ k1
-        u2 = d0[s2 >> 24] ^ d1[s1 >> 16 & 255] ^ d2[s0 >> 8 & 255] ^ d3[s3 & 255] ^ k2
-        s3 = d0[s3 >> 24] ^ d1[s2 >> 16 & 255] ^ d2[s1 >> 8 & 255] ^ d3[s0 & 255] ^ k3
-        s0, s1, s2 = u0, u1, u2
+        x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, x15 = s
+        s = pack(
+            d0[x0] ^ d1[x13] ^ d2[x10] ^ d3[x7] ^ k0,
+            d0[x4] ^ d1[x1] ^ d2[x14] ^ d3[x11] ^ k1,
+            d0[x8] ^ d1[x5] ^ d2[x2] ^ d3[x15] ^ k2,
+            d0[x12] ^ d1[x9] ^ d2[x6] ^ d3[x3] ^ k3,
+        )
+    x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, x15 = s
     return pack(
-        g0[s0 >> 24] ^ g1[s3 >> 16 & 255] ^ g2[s2 >> 8 & 255] ^ g3[s1 & 255] ^ l0,
-        g0[s1 >> 24] ^ g1[s0 >> 16 & 255] ^ g2[s3 >> 8 & 255] ^ g3[s2 & 255] ^ l1,
-        g0[s2 >> 24] ^ g1[s1 >> 16 & 255] ^ g2[s0 >> 8 & 255] ^ g3[s3 & 255] ^ l2,
-        g0[s3 >> 24] ^ g1[s2 >> 16 & 255] ^ g2[s1 >> 8 & 255] ^ g3[s0 & 255] ^ l3,
+        g0[x0] ^ g1[x13] ^ g2[x10] ^ g3[x7] ^ l0,
+        g0[x4] ^ g1[x1] ^ g2[x14] ^ g3[x11] ^ l1,
+        g0[x8] ^ g1[x5] ^ g2[x2] ^ g3[x15] ^ l2,
+        g0[x12] ^ g1[x9] ^ g2[x6] ^ g3[x3] ^ l3,
     )
 
 
@@ -220,9 +228,11 @@ class FastAES(BlockCipher):
         self._enc, self._dec = _word_schedules(key)
 
     def encrypt_block(self, block: bytes) -> bytes:
-        self._check_block(block)
+        if len(block) != 16:
+            self._check_block(block)
         return _encrypt(block, self._enc)
 
     def decrypt_block(self, block: bytes) -> bytes:
-        self._check_block(block)
+        if len(block) != 16:
+            self._check_block(block)
         return _decrypt(block, self._dec)

@@ -45,6 +45,9 @@ def test_crash_points_cover_first_and_last():
     assert limited[0] == 0 and limited[-1] == 99
     assert limited == sorted(set(limited))
     assert _crash_points(3, 50) == [0, 1, 2]
+    assert _crash_points(10, 1) == [0]
+    with pytest.raises(ValueError):
+        _crash_points(10, 0)
 
 
 def test_matrix_formats_and_modes_validate():

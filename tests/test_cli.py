@@ -752,12 +752,33 @@ def test_forensics_chaos_writes_and_regrades_flight(tmp_path, capsys):
 
 
 def test_forensics_healthy_control_and_injected_negative(capsys):
-    assert main(["forensics", "--healthy", "--scenario", "shard_rotation",
-                 "--limit", "6"]) == 0
+    assert main(["forensics", "--healthy", "--scenario", "shard_rotation"]) == 0
     assert "no incidents" in capsys.readouterr().out
     assert main(["forensics", "--healthy", "--scenario", "shard_rotation",
-                 "--limit", "6", "--inject", "cipher-miscount"]) == 1
+                 "--inject", "cipher-miscount"]) == 1
     assert "INCIDENT:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("limit", ["0", "-2"])
+@pytest.mark.parametrize("command", [
+    ["monitor", "--scenario", "rotation_campaign"],
+    ["forensics", "--healthy", "--scenario", "rotation_campaign"],
+], ids=["monitor", "forensics"])
+def test_limit_below_one_is_a_usage_error(command, limit, capsys):
+    assert main([*command, "--limit", limit]) == 2
+    assert "--limit must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["monitor", "--scenario", "shard_rotation"],
+    ["forensics", "--healthy", "--scenario", "shard_rotation"],
+    ["forensics", "--chaos"],
+    ["forensics", "FLIGHT.json"],
+], ids=["monitor", "forensics-healthy", "forensics-chaos", "forensics-regrade"])
+def test_limit_applies_only_to_the_rotation_campaign(argv, capsys):
+    assert main([*argv, "--limit", "6"]) == 2
+    assert ("--limit applies only to --scenario rotation_campaign"
+            in capsys.readouterr().err)
 
 
 def test_help_lists_every_command(capsys):
