@@ -11,80 +11,52 @@ from __future__ import annotations
 
 import struct
 
-from repro.primitives.util import rotl32
+from repro.primitives.merkle_damgard import MerkleDamgard
 
 _MASK = 0xFFFFFFFF
 
 _INITIAL_STATE = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0)
 
+_UNPACK_BLOCK = struct.Struct(">16I").unpack
 
-class SHA1:
+
+class SHA1(MerkleDamgard):
     """Incremental SHA-1 with the familiar update/digest interface."""
 
     digest_size = 20
     block_size = 64
     name = "sha1"
-
-    def __init__(self, data: bytes = b"") -> None:
-        self._state = list(_INITIAL_STATE)
-        self._length = 0
-        self._pending = b""
-        if data:
-            self.update(data)
-
-    def update(self, data: bytes) -> None:
-        """Absorb more message bytes."""
-        self._length += len(data)
-        buffer = self._pending + data
-        offset = 0
-        while offset + 64 <= len(buffer):
-            self._compress(buffer[offset : offset + 64])
-            offset += 64
-        self._pending = buffer[offset:]
-
-    def digest(self) -> bytes:
-        """Return the 20-byte digest of everything absorbed so far."""
-        clone = self.copy()
-        bit_length = clone._length * 8
-        clone.update(b"\x80")
-        while len(clone._pending) != 56:
-            clone.update(b"\x00")
-        clone._compress(clone._pending + struct.pack(">Q", bit_length))
-        return struct.pack(">5I", *clone._state)
-
-    def hexdigest(self) -> str:
-        return self.digest().hex()
-
-    def copy(self) -> "SHA1":
-        clone = SHA1()
-        clone._state = list(self._state)
-        clone._length = self._length
-        clone._pending = self._pending
-        return clone
+    _initial_state = _INITIAL_STATE
+    _digest_layout = struct.Struct(">5I")
 
     def _compress(self, block: bytes) -> None:
-        w = list(struct.unpack(">16I", block))
+        # x * 0x1_0000_0001 puts two copies of the 32-bit word x side by
+        # side, so the low 32 bits of that product shifted right by 32 - n
+        # are x rotated left by n.  The rotation inside each sum is left
+        # unmasked: bits above the 32nd never reach the low word of a sum.
+        mask = _MASK
+        w = list(_UNPACK_BLOCK(block))
         for i in range(16, 80):
-            w.append(rotl32(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1))
+            x = w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]
+            w.append((x * 0x1_0000_0001 >> 31) & mask)
 
+        # Rounds 0-19 choose (Ch), 20-39 and 60-79 take the parity, and
+        # 40-59 the majority (Maj), each with its own round constant.
         a, b, c, d, e = self._state
-        for i in range(80):
-            if i < 20:
-                f = (b & c) | (~b & d)
-                k = 0x5A827999
-            elif i < 40:
-                f = b ^ c ^ d
-                k = 0x6ED9EBA1
-            elif i < 60:
-                f = (b & c) | (b & d) | (c & d)
-                k = 0x8F1BBCDC
-            else:
-                f = b ^ c ^ d
-                k = 0xCA62C1D6
-            temp = (rotl32(a, 5) + f + e + k + w[i]) & _MASK
-            e, d, c, b, a = d, c, rotl32(b, 30), a, temp
+        for wt in w[:20]:
+            t = (a * 0x1_0000_0001 >> 27) + (d ^ b & (c ^ d)) + e + 0x5A827999 + wt
+            e, d, c, b, a = d, c, (b * 0x1_0000_0001 >> 2) & mask, a, t & mask
+        for wt in w[20:40]:
+            t = (a * 0x1_0000_0001 >> 27) + (b ^ c ^ d) + e + 0x6ED9EBA1 + wt
+            e, d, c, b, a = d, c, (b * 0x1_0000_0001 >> 2) & mask, a, t & mask
+        for wt in w[40:60]:
+            t = (a * 0x1_0000_0001 >> 27) + (b & c | d & (b | c)) + e + 0x8F1BBCDC + wt
+            e, d, c, b, a = d, c, (b * 0x1_0000_0001 >> 2) & mask, a, t & mask
+        for wt in w[60:]:
+            t = (a * 0x1_0000_0001 >> 27) + (b ^ c ^ d) + e + 0xCA62C1D6 + wt
+            e, d, c, b, a = d, c, (b * 0x1_0000_0001 >> 2) & mask, a, t & mask
 
-        self._state = [(x + y) & _MASK for x, y in zip(self._state, (a, b, c, d, e))]
+        self._state = [(x + y) & mask for x, y in zip(self._state, (a, b, c, d, e))]
 
 
 def sha1(data: bytes) -> bytes:

@@ -1,13 +1,21 @@
 """SHA-256 implemented from scratch (FIPS 180-4).
 
-Used by the deterministic RNG and available as an alternative
-instantiation of the address-checksum function µ.  Cross-checked against
-``hashlib`` in the test suite.
+Every durable MAC runs on this hash: HMAC-SHA256 over the WAL commit
+markers, the checkpoint envelopes, the shard manifest and the scrubber's
+checks, and the KDF that derives the purpose keys.  The deterministic
+RNG draws from it too, and it is an alternative instantiation of the
+address-checksum function µ.  ``hashlib`` is its test oracle, not a
+backend.  ``SHA256._compress`` is the one call per 64-octet block, and
+``perfbench/tracing.py`` patches it on the class to charge
+``primitives.sha256_bytes``.
 """
 
 from __future__ import annotations
 
 import struct
+from operator import add
+
+from repro.primitives.merkle_damgard import MerkleDamgard
 
 # fmt: off
 _K = (
@@ -39,77 +47,87 @@ _MASK = 0xFFFFFFFF
 _UNPACK_BLOCK = struct.Struct(">16I").unpack
 
 
-class SHA256:
+class SHA256(MerkleDamgard):
     """Incremental SHA-256 with the familiar update/digest interface."""
 
     digest_size = 32
     block_size = 64
     name = "sha256"
-
-    def __init__(self, data: bytes = b"") -> None:
-        self._state = list(_INITIAL_STATE)
-        self._length = 0
-        self._pending = b""
-        if data:
-            self.update(data)
-
-    def update(self, data: bytes) -> None:
-        """Absorb more message bytes."""
-        self._length += len(data)
-        buffer = self._pending + data
-        offset = 0
-        while offset + 64 <= len(buffer):
-            self._compress(buffer[offset : offset + 64])
-            offset += 64
-        self._pending = buffer[offset:]
-
-    def digest(self) -> bytes:
-        """Return the 32-byte digest of everything absorbed so far."""
-        clone = self.copy()
-        bit_length = clone._length * 8
-        clone.update(b"\x80")
-        while len(clone._pending) != 56:
-            clone.update(b"\x00")
-        # Do not go through update(): the length block must not count itself.
-        clone._compress(clone._pending + struct.pack(">Q", bit_length))
-        return struct.pack(">8I", *clone._state)
-
-    def hexdigest(self) -> str:
-        return self.digest().hex()
-
-    def copy(self) -> "SHA256":
-        clone = SHA256()
-        clone._state = list(self._state)
-        clone._length = self._length
-        clone._pending = self._pending
-        return clone
+    _initial_state = _INITIAL_STATE
+    _digest_layout = struct.Struct(">8I")
 
     def _compress(self, block: bytes) -> None:
-        # The one call per 64-octet block.  Rotations are written inline
-        # (x >> n | x << 32 - n) and left unmasked: bits above the 32nd
-        # never reach the low word of a sum, so one mask per sum suffices.
-        k = _K
+        # The one call per 64-octet block.  x * 0x1_0000_0001 puts two
+        # copies of the 32-bit word x side by side, so the low 32 bits of
+        # that product shifted right by n are x rotated right by n: each
+        # rotation is one shift.  Bits above the 32nd are left in and never
+        # reach the low word of a sum, so one mask per sum suffices.
         mask = _MASK
         w = list(_UNPACK_BLOCK(block))
         for i in range(16, 64):
             x = w[i - 15]
             y = w[i - 2]
-            s0 = (x >> 7 | x << 25) ^ (x >> 18 | x << 14) ^ (x >> 3)
-            s1 = (y >> 17 | y << 15) ^ (y >> 19 | y << 13) ^ (y >> 10)
+            xx = x * 0x1_0000_0001
+            yy = y * 0x1_0000_0001
+            s0 = xx >> 7 ^ xx >> 18 ^ x >> 3
+            s1 = yy >> 17 ^ yy >> 19 ^ y >> 10
             w.append((w[i - 16] + s0 + w[i - 7] + s1) & mask)
+        # Round t adds K_t + W_t; one pass sums all 64 before the rounds.
+        kw = list(map(add, _K, w))
 
+        # Eight rounds per turn.  Round i + j works on the state renamed
+        # j places, so no variable is moved: each round writes only the
+        # new e over d and the new a over h, and after eight rounds every
+        # name holds its own word again.
         a, b, c, d, e, f, g, h = self._state
-        for i in range(64):
-            s1 = (e >> 6 | e << 26) ^ (e >> 11 | e << 21) ^ (e >> 25 | e << 7)
-            ch = g ^ (e & (f ^ g))
-            temp1 = h + s1 + ch + k[i] + w[i]
-            s0 = (a >> 2 | a << 30) ^ (a >> 13 | a << 19) ^ (a >> 22 | a << 10)
-            maj = (a & b) | (c & (a | b))
-            h, g, f = g, f, e
-            e = (d + temp1) & mask
-            d, c, b = c, b, a
-            a = (temp1 + s0 + maj) & mask
+        for i in range(0, 64, 8):
+            x = e * 0x1_0000_0001
+            t = h + (x >> 6 ^ x >> 11 ^ x >> 25) + (g ^ e & (f ^ g)) + kw[i]
+            d = (d + t) & mask
+            x = a * 0x1_0000_0001
+            h = (t + (x >> 2 ^ x >> 13 ^ x >> 22) + (a & b | c & (a | b))) & mask
 
+            x = d * 0x1_0000_0001
+            t = g + (x >> 6 ^ x >> 11 ^ x >> 25) + (f ^ d & (e ^ f)) + kw[i + 1]
+            c = (c + t) & mask
+            x = h * 0x1_0000_0001
+            g = (t + (x >> 2 ^ x >> 13 ^ x >> 22) + (h & a | b & (h | a))) & mask
+
+            x = c * 0x1_0000_0001
+            t = f + (x >> 6 ^ x >> 11 ^ x >> 25) + (e ^ c & (d ^ e)) + kw[i + 2]
+            b = (b + t) & mask
+            x = g * 0x1_0000_0001
+            f = (t + (x >> 2 ^ x >> 13 ^ x >> 22) + (g & h | a & (g | h))) & mask
+
+            x = b * 0x1_0000_0001
+            t = e + (x >> 6 ^ x >> 11 ^ x >> 25) + (d ^ b & (c ^ d)) + kw[i + 3]
+            a = (a + t) & mask
+            x = f * 0x1_0000_0001
+            e = (t + (x >> 2 ^ x >> 13 ^ x >> 22) + (f & g | h & (f | g))) & mask
+
+            x = a * 0x1_0000_0001
+            t = d + (x >> 6 ^ x >> 11 ^ x >> 25) + (c ^ a & (b ^ c)) + kw[i + 4]
+            h = (h + t) & mask
+            x = e * 0x1_0000_0001
+            d = (t + (x >> 2 ^ x >> 13 ^ x >> 22) + (e & f | g & (e | f))) & mask
+
+            x = h * 0x1_0000_0001
+            t = c + (x >> 6 ^ x >> 11 ^ x >> 25) + (b ^ h & (a ^ b)) + kw[i + 5]
+            g = (g + t) & mask
+            x = d * 0x1_0000_0001
+            c = (t + (x >> 2 ^ x >> 13 ^ x >> 22) + (d & e | f & (d | e))) & mask
+
+            x = g * 0x1_0000_0001
+            t = b + (x >> 6 ^ x >> 11 ^ x >> 25) + (a ^ g & (h ^ a)) + kw[i + 6]
+            f = (f + t) & mask
+            x = c * 0x1_0000_0001
+            b = (t + (x >> 2 ^ x >> 13 ^ x >> 22) + (c & d | e & (c | d))) & mask
+
+            x = f * 0x1_0000_0001
+            t = a + (x >> 6 ^ x >> 11 ^ x >> 25) + (h ^ f & (g ^ h)) + kw[i + 7]
+            e = (e + t) & mask
+            x = b * 0x1_0000_0001
+            a = (t + (x >> 2 ^ x >> 13 ^ x >> 22) + (b & c | d & (b | c))) & mask
         self._state = [
             (x + y) & mask for x, y in zip(self._state, (a, b, c, d, e, f, g, h))
         ]

@@ -73,12 +73,6 @@ def bytes_to_int(data: bytes) -> int:
     return int.from_bytes(data, "big")
 
 
-def rotl32(value: int, amount: int) -> int:
-    """Rotate a 32-bit word left (used by SHA-1)."""
-    value &= 0xFFFFFFFF
-    return ((value << amount) | (value >> (32 - amount))) & 0xFFFFFFFF
-
-
 def gf_double(block: bytes) -> bytes:
     """Doubling in GF(2^128) / GF(2^64), as used by OMAC, PMAC and OCB.
 

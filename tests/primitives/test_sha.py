@@ -1,11 +1,14 @@
-"""SHA-1 / SHA-256 against hashlib and NIST vectors."""
+"""SHA-1 / SHA-256 against hashlib and NIST vectors, and their compression seam."""
 
 import hashlib
+import hmac as stdlib_hmac
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mac.hmac_mac import HMACMAC
+from repro.primitives.hmac import hmac_sha1, hmac_sha256
 from repro.primitives.sha1 import SHA1, sha1, sha1_truncated
 from repro.primitives.sha256 import SHA256, sha256
 
@@ -95,3 +98,76 @@ def test_sha1_truncation_bounds(length):
 def test_hexdigest():
     assert SHA256(b"abc").hexdigest() == hashlib.sha256(b"abc").hexdigest()
     assert SHA1(b"abc").hexdigest() == hashlib.sha1(b"abc").hexdigest()
+
+
+# The compression seam: perfbench/tracing.py wraps ``_compress`` on the
+# class and charges each call as one 64-octet block.  These tests wrap it
+# the same way and count the calls a message, a keyed MAC and a one-shot
+# HMAC make.
+
+SEAM_LENGTHS = [0, 1, 55, 56, 63, 64, 119, 120, 14_000]
+
+
+def _blocks_for(n: int) -> int:
+    # The message, the 0x80 octet and the 8-octet length, in whole blocks.
+    return -(-(n + 9) // 64)
+
+
+def _count_compressions(monkeypatch, cls) -> list[int]:
+    sizes: list[int] = []
+    compress = cls._compress
+
+    def counted(self, block):
+        sizes.append(len(block))
+        return compress(self, block)
+
+    monkeypatch.setattr(cls, "_compress", counted)
+    return sizes
+
+
+def _message(n: int) -> bytes:
+    return bytes((13 * i + 5) & 0xFF for i in range(n))
+
+
+@pytest.mark.parametrize("n", SEAM_LENGTHS)
+@pytest.mark.parametrize(
+    "cls, reference",
+    [(SHA1, hashlib.sha1), (SHA256, hashlib.sha256)],
+    ids=["sha1", "sha256"],
+)
+def test_each_block_is_one_compress_call(monkeypatch, cls, reference, n):
+    sizes = _count_compressions(monkeypatch, cls)
+    message = _message(n)
+    assert cls(message).digest() == reference(message).digest()
+    assert sizes == [64] * _blocks_for(n)
+
+
+@pytest.mark.parametrize("n", SEAM_LENGTHS)
+@pytest.mark.parametrize("cls", [SHA1, SHA256], ids=["sha1", "sha256"])
+def test_keyed_mac_tag_costs_the_message_blocks_plus_one(monkeypatch, cls, n):
+    # The ipad and opad blocks are absorbed when the MAC is keyed; a tag
+    # pays for the inner message blocks and one outer block.
+    sizes = _count_compressions(monkeypatch, cls)
+    mac = HMACMAC(b"k" * 20, cls)
+    assert len(sizes) == 2
+    sizes.clear()
+    tag = mac.tag(_message(n))
+    assert tag == stdlib_hmac.new(b"k" * 20, _message(n), cls.name).digest()
+    assert sizes == [64] * (_blocks_for(n) + 1)
+
+
+@pytest.mark.parametrize("n", SEAM_LENGTHS)
+@pytest.mark.parametrize("key_size", [0, 20, 64])
+@pytest.mark.parametrize(
+    "cls, one_shot",
+    [(SHA1, hmac_sha1), (SHA256, hmac_sha256)],
+    ids=["sha1", "sha256"],
+)
+def test_one_shot_hmac_costs_two_pad_blocks_more(
+    monkeypatch, cls, one_shot, key_size, n
+):
+    sizes = _count_compressions(monkeypatch, cls)
+    key = bytes(range(key_size))
+    tag = one_shot(key, _message(n))
+    assert tag == stdlib_hmac.new(key, _message(n), cls.name).digest()
+    assert sizes == [64] * (_blocks_for(n) + 3)

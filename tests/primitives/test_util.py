@@ -17,7 +17,6 @@ from repro.primitives.util import (
     is_ascii,
     iter_blocks,
     ntz,
-    rotl32,
     split_blocks,
     xor_bytes,
     xor_bytes_strict,
@@ -120,11 +119,6 @@ def test_constant_time_equal():
 @settings(max_examples=30, deadline=None)
 def test_int_bytes_round_trip(value):
     assert bytes_to_int(int_to_bytes(value, 8)) == value
-
-
-def test_rotations():
-    assert rotl32(0x80000000, 1) == 1
-    assert rotl32(0x12345678, 8) == 0x34567812
 
 
 @given(st.binary(min_size=16, max_size=16))
