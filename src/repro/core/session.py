@@ -14,7 +14,10 @@ running time and logarithmic many additional communication rounds
 between client and server", with the client decrypting node data and
 answering left/right (or which-child) per round.
 :class:`ClientSideTraversal` implements that protocol over both index
-structures and counts the rounds, feeding benchmark X3.
+structures and counts the rounds, feeding benchmark X3.  It follows no
+link itself: it drives the structure's own walk (``descend`` and
+``leaves``, with their cycle and dangling-link checks) with its own
+decode, which always verifies, and counts a round per node shipped.
 """
 
 from __future__ import annotations
@@ -111,81 +114,61 @@ class ClientSideTraversal:
         self._structure = structure
 
     def range_search(self, low: bytes, high: bytes) -> TraversalTrace:
+        trace = TraversalTrace([], 0, 0)
         if isinstance(self._structure, IndexTable):
-            return self._range_index_table(low, high)
-        return self._range_btree(low, high)
+            entries = self._index_table_entries(trace, low)
+        else:
+            entries = self._btree_entries(trace, low)
+        for key, table_row in entries:
+            if key > high:
+                break
+            if key >= low and table_row is not None:
+                trace.results.append((key, table_row))
+        trace.nodes_fetched = trace.rounds
+        return trace
 
     def search(self, key: bytes) -> TraversalTrace:
         return self.range_search(key, key)
 
-    # -- binary table representation ([3]) ----------------------------------
+    # Each generator yields the decoded leaf entries from the leaf ``low``
+    # routes to, in chain order, and counts into ``trace`` what the server
+    # shipped to get there.  The client decodes with the codec itself:
+    # it holds the key, and no server-side cache stands in for it.
 
-    def _range_index_table(self, low: bytes, high: bytes) -> TraversalTrace:
+    def _index_table_entries(self, trace: TraversalTrace, low: bytes):
         index = self._structure
-        rounds = 0
-        shipped = 0
-        results: list[tuple[bytes, int]] = []
         if index.root_id == NO_REF:
-            return TraversalTrace(results, rounds, 0, 0)
-        codec = index.codec
-        current = index.row(index.root_id)
-        while not current.is_leaf:
-            rounds += 1  # server ships the node; client answers left/right
-            shipped += len(current.payload)
-            sep_key, _ = codec.decode(
-                current.payload, current.refs(index.index_table_id)
-            )
-            next_id = current.left if low <= sep_key else current.right
-            current = index.row(next_id)
+            return
+        codec, table_id = index.codec, index.index_table_id
 
-        row_id = current.row_id
-        while row_id != NO_REF:
-            rounds += 1  # each leaf fetch is one more round
-            leaf = index.row(row_id)
-            if not leaf.deleted:
-                shipped += len(leaf.payload)
-                key, table_row = codec.decode(
-                    leaf.payload, leaf.refs(index.index_table_id)
-                )
-                if key > high:
-                    break
-                if key >= low and table_row is not None:
-                    results.append((key, table_row))
-            row_id = leaf.sibling
-        return TraversalTrace(results, rounds, rounds, shipped)
+        def decode(row):
+            return codec.decode(row.payload, row.refs(table_id))
 
-    # -- d-ary B⁺-tree --------------------------------------------------------
+        def ship(row) -> None:  # one round; the client answers left/right
+            trace.rounds += 1
+            trace.bytes_transferred += len(row.payload)
 
-    def _range_btree(self, low: bytes, high: bytes) -> TraversalTrace:
+        leaf, _ = index.descend(index.router(low, decode), ship)
+        for row in index.leaves(leaf.row_id):
+            if row.deleted:
+                trace.rounds += 1  # a tombstone costs a round, ships nothing
+            else:
+                ship(row)
+                yield decode(row)
+
+    def _btree_entries(self, trace: TraversalTrace, low: bytes):
         tree = self._structure
-        rounds = 0
-        shipped = 0
-        results: list[tuple[bytes, int]] = []
-        node = tree.node(tree.root_id)
-        while not node.is_leaf:
-            rounds += 1
-            shipped += sum(len(entry.payload) for entry in node.entries)
-            position = len(node.entries)
-            for slot in range(len(node.entries)):
-                key, _ = tree.codec.decode(
-                    node.entries[slot].payload, tree.entry_refs(node, slot)
-                )
-                if low <= key:
-                    position = slot
-                    break
-            node = tree.node(node.children[position])
+        codec = tree.codec
 
-        while True:
-            rounds += 1
-            shipped += sum(len(entry.payload) for entry in node.entries)
+        def decode(node, slot):
+            return codec.decode(node.entries[slot].payload, tree.entry_refs(node, slot))
+
+        def ship(node) -> None:  # one round; the client answers which child
+            trace.rounds += 1
+            trace.bytes_transferred += sum(len(entry.payload) for entry in node.entries)
+
+        leaf, _ = tree.descend(tree.router(low, decode), ship)
+        for node in tree.leaves(leaf.node_id):
+            ship(node)
             for slot in range(len(node.entries)):
-                key, table_row = tree.codec.decode(
-                    node.entries[slot].payload, tree.entry_refs(node, slot)
-                )
-                if key > high:
-                    return TraversalTrace(results, rounds, rounds, shipped)
-                if key >= low and table_row is not None:
-                    results.append((key, table_row))
-            if node.next_leaf == NO_REF:
-                return TraversalTrace(results, rounds, rounds, shipped)
-            node = tree.node(node.next_leaf)
+                yield decode(node, slot)

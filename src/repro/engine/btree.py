@@ -11,12 +11,18 @@ Entry payloads pass through the same
 index scheme (and, for comparison, every other scheme) runs on top of
 either structure.  Structure — node fan-out, child links, leaf chaining —
 stays in plaintext, exactly as in the paper's schemes.
+
+Every walk follows the stored links through :meth:`BPlusTree.descend`
+(root to leaf) and :meth:`BPlusTree.leaves` (the leaf chain), the only
+code that checks them.  A cycle, a missing child position or an inner
+node in the chain raises ``IndexCorruptionError``, a link to a missing
+node ``NoSuchRowError``: a rewritten link cannot hang a walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterator
+from typing import Callable, ClassVar, Iterator
 
 from repro.engine.codec import EntryRefs, IndexEntryCodec, VerifiedPlaintexts
 from repro.errors import IndexCorruptionError, NoSuchRowError
@@ -178,57 +184,45 @@ class BPlusTree:
         """Insert a (key, table_row) pair; returns the entry's r_I."""
         _BTREE_INSERTS.inc()
         row_id = self._new_row_id()
-        split = self._insert_into(self._root, key, table_row, row_id)
-        if split is not None:
-            sep, sep_origin, right_id = split
-            new_root = self._new_node(is_leaf=False)
-            new_root.children = [self._root, right_id]
-            self._encode_node(
-                new_root, [_Logical(self._new_row_id(), sep, sep_origin)]
-            )
-            self._root = new_root.node_id
-        return row_id
+        # Each node on the way down is decoded whole: a split re-encodes it.
+        decoded: list[list[_Logical]] = []
 
-    def _insert_into(
-        self, node_id: int, key: bytes, table_row: int, row_id: int
-    ) -> tuple[bytes, int | None, int] | None:
-        """Recursive insert; returns (separator, separator_origin, new_node)
-        when this node split."""
-        node = self._nodes[node_id]
-        logicals = self._decode_node(node)
+        def route(node: BNode) -> int:
+            logicals = self._decode_node(node)
+            decoded.append(logicals)
+            for position, item in enumerate(logicals):
+                if key <= item.key:
+                    return position
+            return len(logicals)
 
-        if node.is_leaf:
-            # Insert after equal keys so duplicates keep arrival order.
-            position = len(logicals)
-            for index, item in enumerate(logicals):
-                if key < item.key:
-                    position = index
-                    break
-            logicals.insert(position, _Logical(row_id, key, table_row))
-            if len(logicals) <= self.order:
-                self._encode_node(node, logicals)
-                return None
-            return self._split_leaf(node, logicals)
-
+        leaf, path = self.descend(route)
+        logicals = self._decode_node(leaf)
+        # Insert after equal keys so duplicates keep arrival order.
         position = len(logicals)
         for index, item in enumerate(logicals):
-            if key <= item.key:
+            if key < item.key:
                 position = index
                 break
-        child_split = self._insert_into(
-            node.children[position], key, table_row, row_id
-        )
-        if child_split is None:
-            # Entry payloads of this node bind child ids; those ids did not
-            # change, so no re-encode is needed.
-            return None
-        sep, sep_origin, right_id = child_split
-        logicals.insert(position, _Logical(self._new_row_id(), sep, sep_origin))
-        node.children.insert(position + 1, right_id)
+        logicals.insert(position, _Logical(row_id, key, table_row))
         if len(logicals) <= self.order:
-            self._encode_node(node, logicals)
-            return None
-        return self._split_inner(node, logicals)
+            self._encode_node(leaf, logicals)
+            return row_id
+        sep, sep_origin, right_id = self._split_leaf(leaf, logicals)
+        # Back up the path: each split adds a separator to the parent.
+        # Nodes above the last split bind unchanged child ids, so they
+        # need no re-encode.
+        for (node, position), logicals in zip(reversed(path), reversed(decoded)):
+            logicals.insert(position, _Logical(self._new_row_id(), sep, sep_origin))
+            node.children.insert(position + 1, right_id)
+            if len(logicals) <= self.order:
+                self._encode_node(node, logicals)
+                return row_id
+            sep, sep_origin, right_id = self._split_inner(node, logicals)
+        new_root = self._new_node(is_leaf=False)
+        new_root.children = [self._root, right_id]
+        self._encode_node(new_root, [_Logical(self._new_row_id(), sep, sep_origin)])
+        self._root = new_root.node_id
+        return row_id
 
     def _split_leaf(
         self, node: BNode, logicals: list[_Logical]
@@ -270,25 +264,8 @@ class BPlusTree:
         rebalancing (they cannot be attributed to a parent path cheaply;
         the tree stays correct, merely potentially sparse there).
         """
-        path: list[tuple[BNode, int]] = []
-        node = self._nodes[self._root]
-        seen: set[int] = set()
-        while not node.is_leaf:
-            if node.node_id in seen:
-                raise IndexCorruptionError(
-                    f"cycle through inner node {node.node_id}"
-                )
-            seen.add(node.node_id)
-            position = len(node.entries)
-            for slot in range(len(node.entries)):
-                sep_key, _ = self._decode_slot(node, slot)
-                if key <= sep_key:
-                    position = slot
-                    break
-            path.append((node, position))
-            node = self._nodes[node.children[position]]
-
-        logicals = self._decode_node(node)
+        leaf, path = self.descend(self.router(key, self._decode_slot))
+        logicals = self._decode_node(leaf)
         index = next(
             (
                 i for i, item in enumerate(logicals)
@@ -297,20 +274,18 @@ class BPlusTree:
             None,
         )
         if index is None:
-            return self._delete_by_chain(node, key, table_row)
+            return self._delete_by_chain(leaf, key, table_row)
         del logicals[index]
-        self._encode_node(node, logicals)
-        self._rebalance_upwards(path, node)
+        self._encode_node(leaf, logicals)
+        self._rebalance_upwards(path, leaf)
         return True
 
     def _delete_by_chain(self, start: BNode, key: bytes, table_row: int) -> bool:
         """Fallback removal for duplicates that spilled past the routed
         leaf; does not rebalance."""
-        node = start
-        while True:
-            if node.next_leaf == NO_REF:
-                return False
-            node = self._nodes[node.next_leaf]
+        chain = self.leaves(start.node_id)
+        next(chain)  # the routed leaf, searched already
+        for node in chain:
             logicals = self._decode_node(node)
             for index, item in enumerate(logicals):
                 if item.key == key and item.table_row == table_row:
@@ -319,6 +294,7 @@ class BPlusTree:
                     return True
                 if item.key > key:
                     return False
+        return False
 
     # -- rebalancing -----------------------------------------------------------
 
@@ -335,11 +311,11 @@ class BPlusTree:
             # bind child ids into the stored payloads.
             parent_logicals = self._decode_node(parent)
             left = (
-                self._nodes[parent.children[position - 1]]
+                self.node(parent.children[position - 1])
                 if position > 0 else None
             )
             right = (
-                self._nodes[parent.children[position + 1]]
+                self.node(parent.children[position + 1])
                 if position + 1 < len(parent.children) else None
             )
             if left is not None and len(left.entries) > self._min_fill:
@@ -354,7 +330,7 @@ class BPlusTree:
                 self._merge_children(parent, parent_logicals, position)
             node = parent
 
-        root = self._nodes[self._root]
+        root = self.node(self._root)
         if not root.is_leaf and not root.entries:
             # The root emptied out: the tree loses one level.
             del self._nodes[self._root]
@@ -431,8 +407,8 @@ class BPlusTree:
         self, parent: BNode, parent_logicals: list[_Logical], left_index: int
     ) -> None:
         """Merge children[left_index+1] into children[left_index]."""
-        left = self._nodes[parent.children[left_index]]
-        right = self._nodes[parent.children[left_index + 1]]
+        left = self.node(parent.children[left_index])
+        right = self.node(parent.children[left_index + 1])
         left_logicals = self._decode_node(left)
         right_logicals = self._decode_node(right)
         separator = parent_logicals[left_index]
@@ -453,37 +429,14 @@ class BPlusTree:
 
     # -- queries -------------------------------------------------------------
 
-    def _observe(self, node_id: int) -> None:
+    def _observe(self, node: BNode) -> None:
         _BTREE_NODES_READ.inc()
         if _TRACER.enabled:
             _TRACER.add_cost("nodes_read")
         if _AUDIT.enabled:
-            _AUDIT.emit("index.node_read", index=self.index_table_id, node=node_id)
+            _AUDIT.emit("index.node_read", index=self.index_table_id, node=node.node_id)
         if self.observer is not None:
-            self.observer(node_id)
-
-    def _leaf_for(self, key: bytes) -> int:
-        node = self.node(self._root)
-        seen: set[int] = set()
-        while not node.is_leaf:
-            if node.node_id in seen:
-                raise IndexCorruptionError(
-                    f"cycle through inner node {node.node_id}"
-                )
-            seen.add(node.node_id)
-            self._observe(node.node_id)
-            position = len(node.entries)
-            for slot in range(len(node.entries)):
-                sep_key, _ = self._decode_slot_query(node, slot)
-                if key <= sep_key:
-                    position = slot
-                    break
-            if position >= len(node.children):
-                raise IndexCorruptionError(
-                    f"inner node {node.node_id} lacks child {position}"
-                )
-            node = self.node(node.children[position])
-        return node.node_id
+            self.observer(node.node_id)
 
     def search(self, key: bytes) -> list[int]:
         return [row for _, row in self.range_search(key, key)]
@@ -505,19 +458,11 @@ class BPlusTree:
         self, low: bytes, high: bytes | None
     ) -> list[tuple[bytes, int]]:
         results: list[tuple[bytes, int]] = []
-        node = self.node(self._leaf_for(low))
-        seen: set[int] = set()
-        while True:
-            if node.node_id in seen:
-                raise IndexCorruptionError(
-                    f"cycle in leaf chain at node {node.node_id}"
-                )
-            seen.add(node.node_id)
-            if not node.is_leaf:
-                raise IndexCorruptionError(
-                    f"leaf chain reached inner node {node.node_id}"
-                )
-            self._observe(node.node_id)
+        leaf, _ = self.descend(
+            self.router(low, self._decode_slot_query), self._observe
+        )
+        for node in self.leaves(leaf.node_id):
+            self._observe(node)
             for slot in range(len(node.entries)):
                 key, table_row = self._decode_slot_query(node, slot)
                 if high is not None and key > high:
@@ -529,32 +474,17 @@ class BPlusTree:
                             "carries no table reference"
                         )
                     results.append((key, table_row))
-            if node.next_leaf == NO_REF:
-                return results
-            node = self.node(node.next_leaf)
+        return results
 
     def items(self) -> list[tuple[bytes, int]]:
         out: list[tuple[bytes, int]] = []
-        node = self.node(self._leftmost_leaf())
-        seen: set[int] = set()
-        while True:
-            if node.node_id in seen:
-                raise IndexCorruptionError(
-                    f"cycle in leaf chain at node {node.node_id}"
-                )
-            seen.add(node.node_id)
-            if not node.is_leaf:
-                raise IndexCorruptionError(
-                    f"leaf chain reached inner node {node.node_id}"
-                )
+        for node in self.leaves(self._leftmost_leaf()):
             for slot in range(len(node.entries)):
                 key, table_row = self._decode_slot(node, slot)
                 if table_row is None:
                     raise IndexCorruptionError("leaf entry without table row")
                 out.append((key, table_row))
-            if node.next_leaf == NO_REF:
-                return out
-            node = self.node(node.next_leaf)
+        return out
 
     def verify_all(self) -> None:
         """Decode (verify) every entry in every node."""
@@ -564,18 +494,7 @@ class BPlusTree:
 
     def height(self) -> int:
         """Root-to-leaf path length in edges (uniform by construction)."""
-        height = 0
-        node = self._nodes[self._root]
-        seen: set[int] = set()
-        while not node.is_leaf:
-            if node.node_id in seen:
-                raise IndexCorruptionError(
-                    f"cycle through inner node {node.node_id}"
-                )
-            seen.add(node.node_id)
-            height += 1
-            node = self._nodes[node.children[0]]
-        return height
+        return len(self.descend(_first_child)[1])
 
     def __len__(self) -> int:
         return sum(
@@ -605,7 +524,23 @@ class BPlusTree:
         self.node(node_id).entries[slot].payload = bytes(payload)
 
     def _leftmost_leaf(self) -> int:
+        return self.descend(_first_child)[0].node_id
+
+    # -- walks -----------------------------------------------------------------
+
+    def descend(
+        self,
+        route: Callable[[BNode], int],
+        visit: Callable[[BNode], None] | None = None,
+    ) -> tuple[BNode, list[tuple[BNode, int]]]:
+        """Walk from the root to a leaf, the one descent.
+
+        At each inner node ``visit(node)`` runs (when given), then
+        ``route(node)`` names the child position to follow.  Returns the
+        leaf and the ``(inner node, position)`` path from the root down.
+        """
         node = self.node(self._root)
+        path: list[tuple[BNode, int]] = []
         seen: set[int] = set()
         while not node.is_leaf:
             if node.node_id in seen:
@@ -613,9 +548,46 @@ class BPlusTree:
                     f"cycle through inner node {node.node_id}"
                 )
             seen.add(node.node_id)
-            if not node.children:
+            if visit is not None:
+                visit(node)
+            position = route(node)
+            if position >= len(node.children):
                 raise IndexCorruptionError(
-                    f"inner node {node.node_id} has no children"
+                    f"inner node {node.node_id} lacks child {position}"
                 )
-            node = self.node(node.children[0])
-        return node.node_id
+            path.append((node, position))
+            node = self.node(node.children[position])
+        return node, path
+
+    def leaves(self, start: int) -> Iterator[BNode]:
+        """The leaf chain from node ``start`` on: the one chain walk."""
+        node_id = start
+        seen: set[int] = set()
+        while node_id != NO_REF:
+            if node_id in seen:
+                raise IndexCorruptionError(f"cycle in leaf chain at node {node_id}")
+            seen.add(node_id)
+            node = self.node(node_id)
+            if not node.is_leaf:
+                raise IndexCorruptionError(f"leaf chain reached inner node {node_id}")
+            yield node
+            node_id = node.next_leaf
+
+    @staticmethod
+    def router(
+        key: bytes, decode: Callable[[BNode, int], tuple[bytes, int | None]]
+    ) -> Callable[[BNode], int]:
+        """The :meth:`descend` route toward ``key``: the first child whose
+        separator, read by ``decode(node, slot)``, is at or above it."""
+
+        def route(node: BNode) -> int:
+            for slot in range(len(node.entries)):
+                if key <= decode(node, slot)[0]:
+                    return slot
+            return len(node.entries)
+
+        return route
+
+
+def _first_child(node: BNode) -> int:
+    return 0

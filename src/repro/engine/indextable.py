@@ -14,12 +14,19 @@ The adversary model of the paper acts on this table: an attacker with
 storage access can read every row's payload and overwrite payloads at
 will (see :meth:`IndexTable.raw_payload` / :meth:`IndexTable.tamper`),
 but does not hold the key.
+
+Every walk follows the stored links through :meth:`IndexTable.descend`
+(root to leaf) and :meth:`IndexTable.leaves` (the sibling chain); only
+:meth:`IndexTable.height` walks the whole tree, for the longest path.
+A cycle or an inner row in the chain raises ``IndexCorruptionError``, a
+link to a missing row ``NoSuchRowError``: a rewritten link cannot hang
+a walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.engine.codec import EntryRefs, IndexEntryCodec, VerifiedPlaintexts
 from repro.errors import IndexCorruptionError, NoSuchRowError
@@ -165,18 +172,19 @@ class IndexTable:
             self._encode_into(new_leaf, key, table_row)
             return new_leaf.row_id
 
-        parent: IndexRow | None = None
         parent_content: tuple[bytes, int | None] | None = None
         went_left = False
-        current = self._rows[self._root]
-        while not current.is_leaf:
-            sep_key, sep_row = self._decode(current)
-            parent = current
+
+        def route(row: IndexRow) -> bool:
+            nonlocal parent_content, went_left
             # Captured *before* any structural mutation: codecs that bind
             # Ref_I could not decode the old payload afterwards.
-            parent_content = (sep_key, sep_row)
-            went_left = key <= sep_key
-            current = self._rows[current.left if went_left else current.right]
+            parent_content = self._decode(row)
+            went_left = key <= parent_content[0]
+            return went_left
+
+        current, path = self.descend(route)
+        parent = path[-1] if path else None
 
         leaf_key, leaf_row = self._decode(current)
         inner = self._new_row(is_leaf=False)
@@ -218,17 +226,8 @@ class IndexTable:
         """Tombstone the leaf holding (key, table_row); True if found."""
         if self._root == NO_REF:
             return False
-        current = self._row(self._root)
-        seen: set[int] = set()
-        while not current.is_leaf:
-            if current.row_id in seen:
-                raise IndexCorruptionError(
-                    f"cycle through inner row {current.row_id}"
-                )
-            seen.add(current.row_id)
-            sep_key, _ = self._decode(current)
-            current = self._row(current.left if key <= sep_key else current.right)
-        for leaf in self._iter_leaves_from(current.row_id):
+        current, _ = self.descend(self.router(key, self._decode))
+        for leaf in self.leaves(current.row_id):
             if leaf.deleted:
                 continue
             leaf_key, leaf_row = self._decode(leaf)
@@ -278,23 +277,16 @@ class IndexTable:
     ) -> list[tuple[bytes, int]]:
         if self._root == NO_REF:
             return []
-        current = self._row(self._root)
-        seen: set[int] = set()
-        while not current.is_leaf:
-            if current.row_id in seen:
-                raise IndexCorruptionError(
-                    f"cycle through inner row {current.row_id}"
-                )
-            seen.add(current.row_id)
-            self._observe(current.row_id)
-            sep_key, _ = self._decode_query(current, at_leaf=False)
-            current = self._row(current.left if low <= sep_key else current.right)
+        current, _ = self.descend(
+            self.router(low, lambda row: self._decode_query(row, at_leaf=False)),
+            self._observe,
+        )
 
         results: list[tuple[bytes, int]] = []
-        for leaf in self._iter_leaves_from(current.row_id):
+        for leaf in self.leaves(current.row_id):
             if leaf.deleted:
                 continue
-            self._observe(leaf.row_id)
+            self._observe(leaf)
             leaf_key, leaf_row = self._decode_query(leaf, at_leaf=True)
             if high is not None and leaf_key > high:
                 break
@@ -309,8 +301,7 @@ class IndexTable:
     def items(self) -> list[tuple[bytes, int]]:
         """All live (key, table_row) pairs in key order (verified decode)."""
         out = []
-        leftmost = self._leftmost_leaf()
-        for leaf in self._iter_leaves_from(leftmost):
+        for leaf in self.leaves(self._leftmost_leaf()):
             if leaf.deleted:
                 continue
             key, row = self._decode(leaf)
@@ -376,7 +367,7 @@ class IndexTable:
             if row_id in seen:
                 raise IndexCorruptionError(f"cycle through inner row {row_id}")
             seen.add(row_id)
-            row = self._rows[row_id]
+            row = self._row(row_id)
             if row.is_leaf:
                 height = max(height, depth)
             else:
@@ -404,40 +395,65 @@ class IndexTable:
             codec.verifies_at_query(at_leaf),
         )
 
-    def _observe(self, row_id: int) -> None:
+    def _observe(self, row: IndexRow) -> None:
         if _TRACER.enabled:
             _TRACER.add_cost("nodes_read")
         if _AUDIT.enabled:
-            _AUDIT.emit("index.node_read", index=self.index_table_id, node=row_id)
+            _AUDIT.emit("index.node_read", index=self.index_table_id, node=row.row_id)
         if self.observer is not None:
-            self.observer(row_id)
+            self.observer(row.row_id)
 
     def _leftmost_leaf(self) -> int:
         if self._root == NO_REF:
             return NO_REF
-        current = self._row(self._root)
-        seen: set[int] = set()
+        return self.descend(lambda row: True)[0].row_id
+
+    # -- walks -----------------------------------------------------------------
+
+    def descend(
+        self,
+        route: Callable[[IndexRow], bool],
+        visit: Callable[[IndexRow], None] | None = None,
+    ) -> tuple[IndexRow, list[IndexRow]]:
+        """Walk a non-empty index from the root to a leaf, the one descent.
+
+        At each inner row ``visit(row)`` runs (when given), then
+        ``route(row)`` answers whether to follow ``left``.  Returns the
+        leaf and the inner rows from the root down.
+        """
+        row_of = self._row
+        current = row_of(self._root)
+        # The inner rows passed, in order: both the cycle check and the path.
+        seen: dict[int, IndexRow] = {}
         while not current.is_leaf:
             if current.row_id in seen:
-                raise IndexCorruptionError(
-                    f"cycle through inner row {current.row_id}"
-                )
-            seen.add(current.row_id)
-            current = self._row(current.left)
-        return current.row_id
+                raise IndexCorruptionError(f"cycle through inner row {current.row_id}")
+            seen[current.row_id] = current
+            if visit is not None:
+                visit(current)
+            current = row_of(current.left if route(current) else current.right)
+        return current, list(seen.values())
 
-    def _iter_leaves_from(self, row_id: int) -> Iterator[IndexRow]:
+    def leaves(self, start: int) -> Iterator[IndexRow]:
+        """The sibling chain from row ``start`` on, tombstones included:
+        the one chain walk."""
+        row_id = start
         seen: set[int] = set()
         while row_id != NO_REF:
             if row_id in seen:
-                raise IndexCorruptionError(
-                    f"cycle in leaf chain at row {row_id}"
-                )
+                raise IndexCorruptionError(f"cycle in leaf chain at row {row_id}")
             seen.add(row_id)
             row = self._row(row_id)
             if not row.is_leaf:
-                raise IndexCorruptionError(
-                    f"leaf chain reached non-leaf row {row_id}"
-                )
+                raise IndexCorruptionError(f"leaf chain reached non-leaf row {row_id}")
             yield row
             row_id = row.sibling
+
+    @staticmethod
+    def router(
+        key: bytes, decode: Callable[[IndexRow], tuple[bytes, int | None]]
+    ) -> Callable[[IndexRow], bool]:
+        """The :meth:`descend` route toward ``key``: left when ``key``
+        compares ``<=`` the separator that ``decode(row)`` reads."""
+        return lambda row: key <= decode(row)[0]
+

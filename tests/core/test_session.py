@@ -4,11 +4,13 @@ import math
 
 import pytest
 
+from repro import observability
 from repro.core.encrypted_db import EncryptedDatabase, EncryptionConfig
 from repro.core.session import ClientSideTraversal, SecureSession
 from repro.engine.query import PointQuery
 from repro.engine.schema import Column, ColumnType, TableSchema
 from repro.errors import SessionError
+from repro.workloads.datasets import DEFAULT_MASTER_KEY
 
 MASTER = b"session-test-master-key-01234567"
 
@@ -115,3 +117,86 @@ def test_traversal_skips_deleted_leaves():
         key_of(4), key_of(6)
     )
     assert trace.row_ids == [4, 6]
+
+
+# -- exact Remark 1 costs on benchmark X3's 64-row database ----------------
+
+X3_SCHEMA = TableSchema("t", [Column("k", ColumnType.INT)])
+X3_INDEXES = ("binary", "dary-4", "dary-8", "dary-16")
+#: (rounds, bytes_transferred, AES blocks) per traversal.
+X3_POINT_32 = {
+    "binary": (8, 480, 54),
+    "dary-4": (4, 480, 54),
+    "dary-8": (3, 600, 54),
+    "dary-16": (2, 840, 47),
+}
+X3_RANGE_16_21 = {
+    "binary": (13, 780, 84),
+    "dary-4": (7, 840, 77),
+    "dary-8": (4, 840, 77),
+    "dary-16": (2, 840, 63),
+}
+#: After rows 17-19 are deleted: tombstones in the binary index, removed
+#: entries in the B⁺-trees.
+X3_RANGE_16_21_AFTER_DELETES = {
+    "binary": (13, 600, 66),
+    "dary-4": (6, 840, 71),
+    "dary-8": (4, 1080, 83),
+    "dary-16": (2, 1080, 86),
+}
+
+
+@pytest.fixture
+def x3_db():
+    """Benchmark X3's database over 64 rows, built with observability on
+    so that its ciphers count blocks."""
+    observability.disable()
+    observability.reset()
+    observability.enable()
+    try:
+        db = EncryptedDatabase(DEFAULT_MASTER_KEY, EncryptionConfig.paper_fixed("eax"))
+        db.create_table(X3_SCHEMA)
+        for i in range(64):
+            db.insert("t", [i])
+        db.create_index("binary", "t", "k", kind="table")
+        for order in (4, 8, 16):
+            db.create_index(f"dary-{order}", "t", "k", kind="btree", order=order)
+        yield db
+    finally:
+        observability.disable()
+        observability.reset()
+
+
+def _aes_blocks() -> int:
+    return sum(
+        value for name, value in observability.REGISTRY.counters().items()
+        if name.startswith("cipher.") and name.endswith("_blocks")
+    )
+
+
+def _traverse(db, name, low, high):
+    before = _aes_blocks()
+    trace = ClientSideTraversal(db.index(name).structure).range_search(
+        key_of(low), key_of(high)
+    )
+    assert trace.nodes_fetched == trace.rounds
+    return (trace.rounds, trace.bytes_transferred, _aes_blocks() - before), trace
+
+
+def test_x3_point_and_range_traversal_costs_are_pinned(x3_db):
+    for name in X3_INDEXES:
+        cost, trace = _traverse(x3_db, name, 32, 32)
+        assert (cost, trace.row_ids) == (X3_POINT_32[name], [32]), name
+    for name in X3_INDEXES:
+        cost, trace = _traverse(x3_db, name, 16, 21)
+        assert (cost, trace.row_ids) == (X3_RANGE_16_21[name], list(range(16, 22)))
+
+
+def test_x3_range_traversal_costs_after_deletes_are_pinned(x3_db):
+    for row in (17, 18, 19):
+        x3_db.delete_row("t", row)
+    for name in X3_INDEXES:
+        cost, trace = _traverse(x3_db, name, 16, 21)
+        assert (cost, trace.row_ids) == (
+            X3_RANGE_16_21_AFTER_DELETES[name], [16, 20, 21]
+        ), name
