@@ -152,3 +152,19 @@ class StoredEntry:
         if offset != len(data):
             raise ValueError("trailing bytes after StoredEntry encoding")
         return cls(*fields)
+
+
+def comparable_ciphertext(stored: bytes) -> bytes:
+    """The bytes a keyless reader compares across stored values.
+
+    Storage formats are public knowledge.  When a stored value parses as
+    the (N, C, T) record of the fixed scheme, the adversary of Sect. 3
+    compares the ciphertext component C — comparing the whole record
+    would only ever "match" on framing bytes and sequential-counter
+    nonce prefixes, which carry no plaintext information.  Raw mode
+    ciphertexts (the [3]/[12] formats) are compared as-is.
+    """
+    try:
+        return StoredEntry.from_bytes(stored).ciphertext
+    except ValueError:
+        return stored

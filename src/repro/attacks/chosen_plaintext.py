@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.attacks.adversary import AttackOutcome
-from repro.attacks.pattern_matching import comparable_ciphertext
+from repro.aead.base import comparable_ciphertext
 from repro.core.encrypted_db import EncryptedDatabase, StorageView
 
 

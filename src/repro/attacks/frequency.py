@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.attacks.adversary import AttackOutcome
-from repro.attacks.pattern_matching import comparable_ciphertext
+from repro.aead.base import comparable_ciphertext
 from repro.core.encrypted_db import StorageView
 
 

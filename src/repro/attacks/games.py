@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.attacks.adversary import AttackOutcome
-from repro.attacks.pattern_matching import comparable_ciphertext
+from repro.aead.base import comparable_ciphertext
 from repro.core.encrypted_db import EncryptedDatabase, EncryptionConfig
 from repro.primitives.util import common_prefix_blocks
 from repro.engine.schema import Column, ColumnType, TableSchema
@@ -85,7 +85,7 @@ def equality_distinguisher_game(
         # The generic deterministic-encryption adversary: equal plaintexts
         # leave equal ciphertext *prefixes* even when a per-address tail
         # (µ) differs.  Framing is public, so it compares the ciphertext
-        # component (cf. pattern_matching.comparable_ciphertext).
+        # component (cf. aead.base.comparable_ciphertext).
         ct_a = comparable_ciphertext(storage.cell("game", row_a, 0))
         ct_b = comparable_ciphertext(storage.cell("game", row_b, 0))
         guess = 0 if common_prefix_blocks(ct_a, ct_b, 16) >= 1 else 1

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.attacks.adversary import AttackOutcome, LinkageClaim
-from repro.attacks.pattern_matching import comparable_ciphertext
+from repro.aead.base import comparable_ciphertext
 from repro.core.encrypted_db import StorageView
 from repro.core.indexcrypto.dbsec2005 import DBSec2005IndexCodec
 from repro.primitives.util import common_prefix_blocks

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.attacks.adversary import AttackOutcome
-from repro.aead.base import StoredEntry
+from repro.aead.base import comparable_ciphertext
 from repro.core.encrypted_db import StorageView
 from repro.primitives.util import common_prefix_blocks
 
@@ -27,22 +27,6 @@ class PrefixMatch:
     row_a: int
     row_b: int
     shared_blocks: int
-
-
-def comparable_ciphertext(stored: bytes) -> bytes:
-    """The bytes an adversary actually compares across cells.
-
-    Storage formats are public knowledge.  When a stored cell parses as
-    the (N, C, T) record of the fixed scheme, the adversary compares the
-    ciphertext component C — comparing the whole record would only ever
-    "match" on framing bytes and sequential-counter nonce prefixes,
-    which carry no plaintext information.  Raw mode ciphertexts (the
-    [3]/[12] formats) are compared as-is.
-    """
-    try:
-        return StoredEntry.from_bytes(stored).ciphertext
-    except ValueError:
-        return stored
 
 
 def find_cell_prefix_matches(

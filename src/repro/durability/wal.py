@@ -243,13 +243,15 @@ def _checkpoint_mac_message(generation: int, applied_seq: int, image: bytes) -> 
 def encode_checkpoint(
     generation: int, applied_seq: int, image: bytes, mac: MAC
 ) -> bytes:
-    out = io.BytesIO()
-    out.write(CKPT_MAGIC)
-    _write_int(out, generation)
-    _write_int(out, applied_seq)
-    _write_bytes(out, image)
-    _write_bytes(out, mac.tag(_checkpoint_mac_message(generation, applied_seq, image)))
-    return out.getvalue()
+    tag = mac.tag(_checkpoint_mac_message(generation, applied_seq, image))
+    # One join: the image is copied once, into the blob.
+    return b"".join((
+        CKPT_MAGIC,
+        struct.pack(">qqI", generation, applied_seq, len(image)),
+        image,
+        struct.pack(">I", len(tag)),
+        tag,
+    ))
 
 
 def decode_checkpoint(blob: bytes, mac: MAC) -> CheckpointRecord:

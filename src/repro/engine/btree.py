@@ -127,6 +127,13 @@ class BPlusTree:
 
     def entry_refs(self, node: BNode, slot: int) -> EntryRefs:
         """The EntryRefs of the entry at ``slot`` of ``node``."""
+        return EntryRefs(*self.entry_binding(node, slot))
+
+    def entry_binding(
+        self, node: BNode, slot: int
+    ) -> tuple[int, int, bool, tuple[int, ...]]:
+        """The fields of :meth:`entry_refs`: what a cached plaintext is
+        bound to."""
         entry = node.entries[slot]
         if node.is_leaf:
             internal: tuple[int, ...] = (node.next_leaf,)
@@ -137,26 +144,31 @@ class BPlusTree:
                     f"entries but only {len(node.children)} children"
                 )
             internal = (node.children[slot], node.children[slot + 1])
-        return EntryRefs(
-            index_table=self.index_table_id,
-            row_id=entry.row_id,
-            is_leaf=node.is_leaf,
-            internal=internal,
-        )
+        return self.index_table_id, entry.row_id, node.is_leaf, internal
+
+    # A cached decode is bound by the refs' fields; EntryRefs is built
+    # only when the codec runs.
 
     def _decode_slot(self, node: BNode, slot: int) -> tuple[bytes, int | None]:
         return self._verified.decode(
-            node.entries[slot].payload, self.entry_refs(node, slot),
-            self._codec.decode,
+            node.entries[slot].payload, self.entry_binding(node, slot),
+            self._decode_bound,
         )
+
+    def _decode_bound(
+        self, payload: bytes, binding: tuple
+    ) -> tuple[bytes, int | None]:
+        return self._codec.decode(payload, EntryRefs(*binding))
 
     def _decode_slot_query(
         self, node: BNode, slot: int
     ) -> tuple[bytes, int | None]:
         codec, at_leaf = self._codec, node.is_leaf
         return self._verified.decode(
-            node.entries[slot].payload, self.entry_refs(node, slot),
-            lambda payload, refs: codec.decode_for_query(payload, refs, at_leaf),
+            node.entries[slot].payload, self.entry_binding(node, slot),
+            lambda payload, binding: codec.decode_for_query(
+                payload, EntryRefs(*binding), at_leaf
+            ),
             codec.verifies_at_query(at_leaf),
         )
 
@@ -170,12 +182,13 @@ class BPlusTree:
         node.entries = [BEntry(item.row_id, b"") for item in logicals]
         codec = self._codec
         for slot, item in enumerate(logicals):
-            refs = self.entry_refs(node, slot)
+            binding = self.entry_binding(node, slot)
+            refs = EntryRefs(*binding)
             payload = codec.encode(item.key, item.table_row, refs)
             node.entries[slot].payload = payload
             # The codec just made these bytes from this plaintext.
             self._verified.remember(
-                payload, refs, codec.logical(item.key, item.table_row, refs)
+                payload, binding, codec.logical(item.key, item.table_row, refs)
             )
 
     # -- mutation ----------------------------------------------------------

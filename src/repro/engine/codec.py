@@ -142,17 +142,17 @@ class VerifiedPlaintexts:
     """A bounded LRU map from (stored bytes, binding) to the plaintext a
     codec verified there.
 
-    The binding is everything the codec binds besides its key: an index
-    entry's :class:`EntryRefs` (associated data of eqs. 25–26) or a
-    cell's address (eqs. 23–24).  Every scheme here decodes
-    deterministically from the key, the stored bytes and the binding, so
-    a remembered plaintext is exactly what decoding the same bytes at the
-    same place again would return.  A tampered, swapped or relinked
-    payload has other bytes or another binding, misses, and reaches the
-    codec.  Only verifying paths fill the map; a decode that raises is
-    never remembered.  Whoever holds an instance replaces it together
-    with its codec, so no plaintext outlives the key that verified it.
-    Nothing here is ever written to storage.
+    The binding is everything the codec binds besides its key, as a
+    tuple: the fields of an index entry's :class:`EntryRefs` (associated
+    data of eqs. 25–26) or of a cell's address (eqs. 23–24).  Every
+    scheme here decodes deterministically from the key, the stored bytes
+    and the binding, so a remembered plaintext is exactly what decoding
+    the same bytes at the same place again would return.  A tampered,
+    swapped or relinked payload has other bytes or another binding,
+    misses, and reaches the codec.  Only verifying paths fill the map; a
+    decode that raises is never remembered.  Whoever holds an instance
+    replaces it together with its codec, so no plaintext outlives the key
+    that verified it.  Nothing here is ever written to storage.
 
     ``counters`` names the ``.hits``/``.misses`` counter pair.
     Concurrent readers may race on one entry; the loser counts a miss

@@ -53,18 +53,13 @@ class IndexRow:
     sibling: int = NO_REF
     deleted: bool = False
 
-    def internal_refs(self) -> tuple[int, ...]:
-        if self.is_leaf:
-            return (self.sibling,)
-        return (self.left, self.right)
+    def binding(self, index_table: int) -> tuple[int, int, bool, tuple[int, ...]]:
+        """The fields of :meth:`refs`: what a cached plaintext is bound to."""
+        internal = (self.sibling,) if self.is_leaf else (self.left, self.right)
+        return index_table, self.row_id, self.is_leaf, internal
 
     def refs(self, index_table: int) -> EntryRefs:
-        return EntryRefs(
-            index_table=index_table,
-            row_id=self.row_id,
-            is_leaf=self.is_leaf,
-            internal=self.internal_refs(),
-        )
+        return EntryRefs(*self.binding(index_table))
 
 
 class IndexTable:
@@ -107,11 +102,12 @@ class IndexTable:
         return row
 
     def _encode_into(self, row: IndexRow, key: bytes, table_row: int | None) -> None:
-        refs = row.refs(self.index_table_id)
+        binding = row.binding(self.index_table_id)
+        refs = EntryRefs(*binding)
         row.payload = self._codec.encode(key, table_row, refs)
         # The codec just made these bytes from this plaintext.
         self._verified.remember(
-            row.payload, refs, self._codec.logical(key, table_row, refs)
+            row.payload, binding, self._codec.logical(key, table_row, refs)
         )
 
     def bulk_build(self, pairs: list[tuple[bytes, int]]) -> None:
@@ -382,16 +378,26 @@ class IndexTable:
         except KeyError:
             raise NoSuchRowError(f"index has no row {row_id}") from None
 
+    # A cached decode is bound by the refs' fields; EntryRefs is built
+    # only when the codec runs.
+
     def _decode(self, row: IndexRow) -> tuple[bytes, int | None]:
         return self._verified.decode(
-            row.payload, row.refs(self.index_table_id), self._codec.decode
+            row.payload, row.binding(self.index_table_id), self._decode_bound
         )
+
+    def _decode_bound(
+        self, payload: bytes, binding: tuple
+    ) -> tuple[bytes, int | None]:
+        return self._codec.decode(payload, EntryRefs(*binding))
 
     def _decode_query(self, row: IndexRow, at_leaf: bool) -> tuple[bytes, int | None]:
         codec = self._codec
         return self._verified.decode(
-            row.payload, row.refs(self.index_table_id),
-            lambda payload, refs: codec.decode_for_query(payload, refs, at_leaf),
+            row.payload, row.binding(self.index_table_id),
+            lambda payload, binding: codec.decode_for_query(
+                payload, EntryRefs(*binding), at_leaf
+            ),
             codec.verifies_at_query(at_leaf),
         )
 

@@ -10,6 +10,8 @@ offline attack.
 The format is a simple deterministic length-prefixed record stream; the
 codecs (and therefore keys) are *not* part of the image — loading
 requires supplying them again, mirroring the key handover of Sect. 2.1.
+One walk reads it: :func:`parse_image` runs it for both loaders, and
+:func:`map_image` charts the offsets it reads for the fault planner.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from repro.observability.metrics import REGISTRY as _METRICS
 from repro.observability.trace import TRACER as _TRACER
 
 _MAGIC = b"REPRODB1"
+_LENGTH = struct.Struct(">I")
+_INT = struct.Struct(">q")
 
 
 def _write_bytes(out: io.BytesIO, data: bytes) -> None:
@@ -57,47 +61,62 @@ class _Reader:
     raises :class:`~repro.errors.StorageFormatError` carrying the offset
     at which parsing stopped, so that an adversarially modified image
     can never leak a raw ``struct.error`` to callers.
+
+    The image walk reads each structural reference with
+    :meth:`read_ref`, each stored payload with :meth:`read_payload`,
+    and ends each table row, index row and tree node with
+    :meth:`end_record`.  This cursor notes none of them;
+    :class:`_ChartingReader` charts them all.
     """
 
     def __init__(self, data: bytes) -> None:
         self._view = memoryview(data)
-        self._offset = 0
-
-    @property
-    def offset(self) -> int:
-        return self._offset
+        self.offset = 0
 
     @property
     def remaining(self) -> int:
-        return len(self._view) - self._offset
+        return len(self._view) - self.offset
 
     def read_bytes(self) -> bytes:
-        if self.remaining < 4:
+        at = self.offset
+        if len(self._view) - at < 4:
             raise StorageFormatError(
-                "truncated storage image: length prefix cut short",
-                offset=self._offset,
+                "truncated storage image: length prefix cut short", offset=at
             )
-        (length,) = struct.unpack_from(">I", self._view, self._offset)
-        self._offset += 4
-        data = bytes(self._view[self._offset:self._offset + length])
+        (length,) = _LENGTH.unpack_from(self._view, at)
+        self.offset = at = at + 4
+        data = bytes(self._view[at:at + length])
         if len(data) != length:
             raise StorageFormatError(
                 f"truncated storage image: {length} payload bytes declared, "
                 f"{len(data)} present",
-                offset=self._offset,
+                offset=at,
             )
-        self._offset += length
+        self.offset = at + length
         return data
 
     def read_int(self) -> int:
-        if self.remaining < 8:
+        at = self.offset
+        if len(self._view) - at < 8:
             raise StorageFormatError(
-                "truncated storage image: integer field cut short",
-                offset=self._offset,
+                "truncated storage image: integer field cut short", offset=at
             )
-        (value,) = struct.unpack_from(">q", self._view, self._offset)
-        self._offset += 8
+        (value,) = _INT.unpack_from(self._view, at)
+        self.offset = at + 8
         return value
+
+    #: A root, child, sibling or next-leaf link.
+    read_ref = read_int
+    #: A stored cell or index entry.
+    read_payload = read_bytes
+
+    def end_record(
+        self, names: tuple[str, str, str], name: str, key: int, start: int,
+        count_at: int,
+    ) -> None:
+        """The walk has read the record ``key`` of ``name`` that began at
+        ``start`` and is counted at ``count_at``; ``names`` is one of
+        :data:`_TABLE_ROW`, :data:`_INDEX_ROW` and :data:`_TREE_NODE`."""
 
     def read_count(self, what: str) -> int:
         """An element count: like :meth:`read_int` but sanity-bounded.
@@ -107,7 +126,7 @@ class _Reader:
         rejected unless the remaining image could plausibly hold that
         many elements (every element occupies at least one byte).
         """
-        at = self._offset
+        at = self.offset
         value = self.read_int()
         if value < 0 or value > self.remaining:
             raise StorageFormatError(
@@ -118,7 +137,7 @@ class _Reader:
         return value
 
     def read_text(self) -> str:
-        at = self._offset
+        at = self.offset
         data = self.read_bytes()
         try:
             return data.decode("utf-8")
@@ -128,13 +147,13 @@ class _Reader:
             ) from None
 
     def expect(self, tag: bytes) -> None:
-        got = bytes(self._view[self._offset:self._offset + len(tag)])
+        got = bytes(self._view[self.offset:self.offset + len(tag)])
         if got != tag:
             raise StorageFormatError(
                 f"bad storage image: expected {tag!r}, got {got!r}",
-                offset=self._offset,
+                offset=self.offset,
             )
-        self._offset += len(tag)
+        self.offset += len(tag)
 
 
 @timed("storage.dump")
@@ -260,8 +279,7 @@ def _load_database(
     index_codec_factory: IndexCodecFactory | None = None,
 ) -> Database:
     parsed = parse_image(image, cell_codec, index_codec_factory)
-    if parsed.anomalies:
-        raise min(parsed.anomalies, key=lambda anomaly: anomaly.offset).error()
+    parsed.check()
     db = parsed.database
     _AUDIT.emit(
         "storage.load",
@@ -325,6 +343,11 @@ class ParsedImage:
     def note(self, offset: int, where: str, detail: str) -> None:
         self.anomalies.append(Anomaly(offset, "record-structural", where, detail))
 
+    def check(self) -> None:
+        """Raise what the strict loader raises: the earliest anomaly."""
+        if self.anomalies:
+            raise min(self.anomalies, key=lambda anomaly: anomaly.offset).error()
+
 
 def parse_image(
     image: bytes,
@@ -341,8 +364,12 @@ def parse_image(
     below 3, an index naming an unknown table or column, and trailing
     bytes.  The parse stops only where the framing is lost.
     """
-    parsed = ParsedImage(Database(cell_codec, index_codec_factory))
-    reader = _Reader(image)
+    return _walk(_Reader(image), Database(cell_codec, index_codec_factory))
+
+
+def _walk(reader: _Reader, db: Database) -> ParsedImage:
+    """The one walk over an image: every record into ``db``."""
+    parsed = ParsedImage(db)
     try:
         reader.expect(_MAGIC)
         for _ in range(reader.read_count("table")):
@@ -407,15 +434,17 @@ def _read_table(reader: _Reader, parsed: ParsedImage) -> None:
         rows = table._rows
     counter_at = reader.offset
     next_row = reader.read_int()
+    count_at = reader.offset
     row_count = reader.read_count("row")
     for done in range(row_count):
         at = reader.offset
         try:
             row_id = reader.read_int()
-            cells = [reader.read_bytes() for _ in schema.columns]
+            cells = [reader.read_payload() for _ in schema.columns]
         except StorageFormatError:
             parsed.rows_lost += row_count - done
             raise
+        reader.end_record(_TABLE_ROW, name, row_id, at, count_at)
         if row_id in rows:
             # A replayed record: ids are allocated once and never reused.
             parsed.note(
@@ -488,20 +517,22 @@ def _read_index_table(
     reader: _Reader, parsed: ParsedImage, name: str
 ) -> Callable[[IndexTable], None]:
     """An index-table body after its id; returns how to restore it."""
-    root = reader.read_int()
+    root = reader.read_ref()
     counter_at = reader.offset
     next_row = reader.read_int()
+    count_at = reader.offset
     rows: dict[int, IndexRow] = {}
     for _ in range(reader.read_count("index row")):
         at = reader.offset
         row = IndexRow(
             row_id=reader.read_int(), is_leaf=reader.read_int() == 1, payload=b""
         )
-        row.left = reader.read_int()
-        row.right = reader.read_int()
-        row.sibling = reader.read_int()
+        row.left = reader.read_ref()
+        row.right = reader.read_ref()
+        row.sibling = reader.read_ref()
         row.deleted = reader.read_int() == 1
-        row.payload = reader.read_bytes()
+        row.payload = reader.read_payload()
+        reader.end_record(_INDEX_ROW, name, row.row_id, at, count_at)
         if row.row_id in rows:
             parsed.note(
                 at, f"idx:{name}[{row.row_id}]", f"duplicate index row {row.row_id}"
@@ -523,22 +554,24 @@ def _read_btree(
     reader: _Reader, parsed: ParsedImage, name: str
 ) -> Callable[[BPlusTree], None]:
     """A B+-tree body after its id and order; returns how to restore it."""
-    root = reader.read_int()
+    root = reader.read_ref()
     counter_at = reader.offset
     next_node = reader.read_int()
     next_entry_row = reader.read_int()
+    count_at = reader.offset
     nodes: dict[int, BNode] = {}
     for _ in range(reader.read_count("node")):
         at = reader.offset
         node = BNode(node_id=reader.read_int(), is_leaf=reader.read_int() == 1)
-        node.next_leaf = reader.read_int()
+        node.next_leaf = reader.read_ref()
         child_count = reader.read_count("child")
-        node.children = [reader.read_int() for _ in range(child_count)]
+        node.children = [reader.read_ref() for _ in range(child_count)]
         entry_count = reader.read_count("entry")
         node.entries = [
-            BEntry(reader.read_int(), reader.read_bytes())
+            BEntry(reader.read_int(), reader.read_payload())
             for _ in range(entry_count)
         ]
+        reader.end_record(_TREE_NODE, name, node.node_id, at, count_at)
         if node.node_id in nodes:
             parsed.note(
                 at, f"idx:{name}[n{node.node_id}]",
@@ -579,3 +612,111 @@ def _counter_past(
         return counter
     parsed.note(at, where, f"{what} at or below stored id {top}")
     return top + 1
+
+
+# ---------------------------------------------------------------------------
+# Image cartography: where the walk found each part of an image
+# ---------------------------------------------------------------------------
+
+def map_image(image: bytes) -> ImageMap:
+    """Chart where :func:`parse_image` finds each payload, record and
+    structural reference of ``image``.
+
+    The chart describes the bytes the loader reads, so an image the
+    strict loader refuses is not charted: this raises what
+    :func:`load_database` raises for it.
+    """
+    reader = _ChartingReader(image)
+    _walk(reader, Database()).check()
+    return reader.chart
+
+
+#: How a chart names a table row, an index row and a tree node: the
+#: record, each payload in it and the payloads' swap group, formatted
+#: with the table or index name, the record's id and the payload's slot.
+_TABLE_ROW = ("{0}(r={1})", "{0}(r={1},c={2})", "cell:{0}:{2}")
+_INDEX_ROW = ("idx:{0}[{1}]", "idx:{0}[{1}]", "index:{0}")
+_TREE_NODE = ("idx:{0}[n{1}]", "idx:{0}[n{1}.{2}]", "index:{0}")
+
+
+@dataclass(frozen=True)
+class PayloadSpan:
+    """One stored payload: where its bytes live inside the image.
+
+    ``start``/``end`` delimit the payload proper; the 4-octet length
+    prefix sits at ``start - 4``.  ``where`` is a human-readable
+    position ("t(r=3,c=1)" or "idx:name[7]"), ``group`` names the
+    payload population it may be swapped within.
+    """
+
+    where: str
+    group: str
+    start: int
+    end: int
+
+    @property
+    def prefix_start(self) -> int:
+        return self.start - 4
+
+    def __len__(self) -> int:
+        return self.end - self.start
+
+
+@dataclass(frozen=True)
+class RecordSpan:
+    """One whole variable-length record plus the count field framing it."""
+
+    where: str
+    start: int
+    end: int
+    count_offset: int  # offset of the 8-octet count governing this record
+
+
+@dataclass
+class ImageMap:
+    """Byte cartography of one well-formed storage image."""
+
+    size: int
+    payloads: list[PayloadSpan] = field(default_factory=list)
+    records: list[RecordSpan] = field(default_factory=list)
+    #: (offset, current value) of every 8-octet structural reference.
+    pointers: list[tuple[int, int]] = field(default_factory=list)
+
+
+class _ChartingReader(_Reader):
+    """The cursor :func:`map_image` walks an image with: it notes each
+    structural reference, payload and record into :attr:`chart`."""
+
+    def __init__(self, data: bytes) -> None:
+        super().__init__(data)
+        self.chart = ImageMap(len(data))
+        #: (start, end) of each payload of the record being read.
+        self._payloads: list[tuple[int, int]] = []
+
+    def read_ref(self) -> int:
+        at = self.offset
+        value = self.read_int()
+        self.chart.pointers.append((at, value))
+        return value
+
+    def read_payload(self) -> bytes:
+        data = self.read_bytes()
+        self._payloads.append((self.offset - len(data), self.offset))
+        return data
+
+    def end_record(
+        self, names: tuple[str, str, str], name: str, key: int, start: int,
+        count_at: int,
+    ) -> None:
+        record, payload, group = names
+        self.chart.payloads += [
+            PayloadSpan(
+                payload.format(name, key, slot), group.format(name, key, slot),
+                begin, end,
+            )
+            for slot, (begin, end) in enumerate(self._payloads)
+        ]
+        self._payloads.clear()
+        self.chart.records.append(
+            RecordSpan(record.format(name, key), start, self.offset, count_at)
+        )

@@ -35,6 +35,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
+from repro.aead.base import comparable_ciphertext
 from repro.observability.flightrecorder import RECORDER
 
 #: Cipher block size every scheme in the repo uses for leakage analysis.
@@ -62,22 +63,6 @@ def block_digests(data: bytes, limit: int = MAX_DIGEST_BLOCKS) -> list[str]:
         ).hexdigest()[:DIGEST_HEX]
         for i in range(min(full, limit))
     ]
-
-
-def comparable_ciphertext(stored: bytes) -> bytes:
-    """The deterministically comparable portion of a stored value.
-
-    AEAD entries are framed ``(N, C, T)`` records; the adversary of
-    Sect. 3 compares the C component.  Anything else is compared raw.
-    (Duplicated from :mod:`repro.attacks.pattern_matching` on purpose:
-    observability must not import the attack layer.)
-    """
-    from repro.aead.base import StoredEntry
-
-    try:
-        return StoredEntry.from_bytes(stored).ciphertext
-    except ValueError:
-        return stored
 
 
 class AuditLog:

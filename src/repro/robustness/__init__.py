@@ -19,6 +19,8 @@ from repro.robustness.faults import (
     FAULT_KINDS,
     FaultSpec,
     ImageMap,
+    PayloadSpan,
+    RecordSpan,
     map_image,
     plan_fault,
     plan_faults,
@@ -39,6 +41,8 @@ __all__ = [
     "FAULT_KINDS",
     "FaultSpec",
     "ImageMap",
+    "PayloadSpan",
+    "RecordSpan",
     "map_image",
     "plan_fault",
     "plan_faults",

@@ -35,18 +35,24 @@ Fault taxonomy (``FAULT_KINDS``):
     attack: each payload remains individually well-formed, only its
     *position* lies.
 
-Faults are *planned* against an :class:`ImageMap` (the byte layout of a
-well-formed image) and *applied* as position-based edits, so a spec is
-meaningful on the image it was planned for and replayable forever.
+Faults are *planned* against an :class:`ImageMap` (the byte layout the
+image parser's own walk charts, :func:`map_image`) and *applied* as
+position-based edits, so a spec is meaningful on the image it was
+planned for and replayable forever.
 """
 
 from __future__ import annotations
 
 import random
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.engine.storage import _MAGIC, _Reader
+from repro.engine.storage import ImageMap, PayloadSpan, RecordSpan, map_image
+
+__all__ = [
+    "BLOCK", "FAULT_KINDS", "FaultSpec", "ImageMap", "PayloadSpan", "RecordSpan",
+    "map_image", "plan_fault", "plan_faults",
+]
 
 #: Cipher block size assumed by block-aligned faults (AES; the paper's
 #: legacy schemes optionally run DES, whose 8-octet blocks are covered
@@ -63,174 +69,6 @@ FAULT_KINDS = (
     "pointer-scramble",
     "payload-swap",
 )
-
-
-# ---------------------------------------------------------------------------
-# Image cartography
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PayloadSpan:
-    """One stored payload: where its bytes live inside the image.
-
-    ``start``/``end`` delimit the payload proper; the 4-octet length
-    prefix sits at ``start - 4``.  ``where`` is a human-readable
-    position ("t(r=3,c=1)" or "idx:name[7]"), ``group`` names the
-    payload population it may be swapped within.
-    """
-
-    where: str
-    group: str
-    start: int
-    end: int
-
-    @property
-    def prefix_start(self) -> int:
-        return self.start - 4
-
-    def __len__(self) -> int:
-        return self.end - self.start
-
-
-@dataclass(frozen=True)
-class RecordSpan:
-    """One whole variable-length record plus the count field framing it."""
-
-    where: str
-    start: int
-    end: int
-    count_offset: int  # offset of the 8-octet count governing this record
-
-
-@dataclass
-class ImageMap:
-    """Byte cartography of one well-formed storage image."""
-
-    size: int
-    payloads: list[PayloadSpan] = field(default_factory=list)
-    records: list[RecordSpan] = field(default_factory=list)
-    #: (offset, current value) of every 8-octet structural reference.
-    pointers: list[tuple[int, int]] = field(default_factory=list)
-
-
-def map_image(image: bytes) -> ImageMap:
-    """Chart a well-formed image (raises on malformed input).
-
-    The walk mirrors :func:`repro.engine.storage.parse_image` record for
-    record; it must be kept in sync with the dump format.  It stays a
-    separate walker because it charts byte offsets, which the parser
-    has no use for.
-    """
-    reader = _Reader(image)
-    reader.expect(_MAGIC)
-    chart = ImageMap(size=len(image))
-
-    table_count = reader.read_count("table")
-    for _ in range(table_count):
-        name = reader.read_text()
-        reader.read_int()  # table_id
-        column_count = reader.read_count("column")
-        for _ in range(column_count):
-            reader.read_text()  # column name
-            reader.read_text()  # column type
-            reader.read_int()   # sensitive flag
-        reader.read_int()  # next_row
-        row_count_at = reader.offset
-        row_count = reader.read_count("row")
-        for _ in range(row_count):
-            record_start = reader.offset
-            row_id = reader.read_int()
-            for column in range(column_count):
-                payload_at = reader.offset + 4
-                data = reader.read_bytes()
-                chart.payloads.append(PayloadSpan(
-                    where=f"{name}(r={row_id},c={column})",
-                    group=f"cell:{name}:{column}",
-                    start=payload_at,
-                    end=payload_at + len(data),
-                ))
-            chart.records.append(RecordSpan(
-                where=f"{name}(r={row_id})",
-                start=record_start,
-                end=reader.offset,
-                count_offset=row_count_at,
-            ))
-
-    index_count = reader.read_count("index")
-    for _ in range(index_count):
-        name = reader.read_text()
-        reader.read_text()  # table name
-        reader.read_text()  # column name
-        kind = reader.read_text()
-        if kind == "table":
-            _map_index_table(reader, chart, name)
-        else:
-            _map_btree(reader, chart, name)
-    return chart
-
-
-def _map_index_table(reader: _Reader, chart: ImageMap, name: str) -> None:
-    reader.read_int()                    # index_table_id
-    chart.pointers.append((reader.offset, reader.read_int()))  # root_id
-    reader.read_int()                    # next_row
-    row_count_at = reader.offset
-    row_count = reader.read_count("index row")
-    for _ in range(row_count):
-        record_start = reader.offset
-        row_id = reader.read_int()
-        reader.read_int()  # is_leaf
-        for _ in range(3):  # left, right, sibling
-            chart.pointers.append((reader.offset, reader.read_int()))
-        reader.read_int()  # deleted
-        payload_at = reader.offset + 4
-        data = reader.read_bytes()
-        chart.payloads.append(PayloadSpan(
-            where=f"idx:{name}[{row_id}]",
-            group=f"index:{name}",
-            start=payload_at,
-            end=payload_at + len(data),
-        ))
-        chart.records.append(RecordSpan(
-            where=f"idx:{name}[{row_id}]",
-            start=record_start,
-            end=reader.offset,
-            count_offset=row_count_at,
-        ))
-
-
-def _map_btree(reader: _Reader, chart: ImageMap, name: str) -> None:
-    reader.read_int()                    # index_table_id
-    reader.read_int()                    # order
-    chart.pointers.append((reader.offset, reader.read_int()))  # root_id
-    reader.read_int()                    # next_node
-    reader.read_int()                    # next_entry_row
-    node_count_at = reader.offset
-    node_count = reader.read_count("node")
-    for _ in range(node_count):
-        record_start = reader.offset
-        node_id = reader.read_int()
-        reader.read_int()  # is_leaf
-        chart.pointers.append((reader.offset, reader.read_int()))  # next_leaf
-        child_count = reader.read_count("child")
-        for _ in range(child_count):
-            chart.pointers.append((reader.offset, reader.read_int()))
-        entry_count = reader.read_count("entry")
-        for slot in range(entry_count):
-            reader.read_int()  # entry row id
-            payload_at = reader.offset + 4
-            data = reader.read_bytes()
-            chart.payloads.append(PayloadSpan(
-                where=f"idx:{name}[n{node_id}.{slot}]",
-                group=f"index:{name}",
-                start=payload_at,
-                end=payload_at + len(data),
-            ))
-        chart.records.append(RecordSpan(
-            where=f"idx:{name}[n{node_id}]",
-            start=record_start,
-            end=reader.offset,
-            count_offset=node_count_at,
-        ))
 
 
 # ---------------------------------------------------------------------------

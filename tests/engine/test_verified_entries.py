@@ -149,9 +149,13 @@ def test_every_remembered_plaintext_is_what_decoding_returns(label, config):
     for row_id in range(0, 30, 4):
         db.delete_row("t", row_id)
     for structure in _structures(db):
-        remembered = list(structure._verified._entries.items())
-        assert any(not refs.is_leaf for (_, refs), _ in remembered)
-        for (payload, refs), plain in remembered:
+        # The cache binds the fields of each entry's EntryRefs.
+        remembered = [
+            (payload, EntryRefs(*binding), plain)
+            for (payload, binding), plain in structure._verified._entries.items()
+        ]
+        assert any(not refs.is_leaf for _, refs, _ in remembered)
+        for payload, refs, plain in remembered:
             assert structure.codec.decode(payload, refs) == plain
 
 

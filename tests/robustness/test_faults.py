@@ -1,12 +1,25 @@
 """Fault injector: determinism, replayability, and byte-surgery semantics."""
 
+import hashlib
+import json
+import re
 import struct
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.encrypted_db import EncryptedDatabase, EncryptionConfig
+from repro.engine.indextable import IndexTable
 from repro.engine.schema import Column, ColumnType, TableSchema
-from repro.engine.storage import dump_database
+from repro.engine.storage import dump_database, load_database, parse_image
+from repro.errors import StorageFormatError
+from repro.robustness.campaign import (
+    CAMPAIGN_CONFIGS,
+    build_campaign_db,
+    default_campaign_configs,
+)
 from repro.robustness.faults import (
     BLOCK,
     FAULT_KINDS,
@@ -209,3 +222,155 @@ def test_every_planned_fault_stays_in_bounds():
     image = build_image()
     for spec in plan_faults(image, 40):
         spec.apply(image)  # must not raise
+
+
+# -- the chart: what the image parser's walk notes about every byte
+
+#: SHA-256 of the charts, and of the 25-fault plans, of the 8-row images
+#: of ``default_campaign_configs()``.  A chart change moves every plan
+#: (the planner draws from the chart's lists), so both are pinned.
+CHART_DIGEST = "f24490989919b94b124092e1e93fa6d8be1d7520b3308ea935589fabf4f6a00c"
+PLAN_DIGEST = "edf415ed0ab50086d6e1a9ba38d8a33daeed75734c741d39b4fdff0496f77553"
+
+
+def test_campaign_charts_and_fault_plans_are_pinned():
+    charts, plans = [], []
+    for _, config in default_campaign_configs():
+        image = dump_database(build_campaign_db(config, 8))
+        chart = map_image(image)
+        assert (len(chart.payloads), len(chart.records), len(chart.pointers)) == (
+            47, 24, 48,
+        )
+        charts.append([
+            chart.size,
+            [[p.where, p.group, p.start, p.end] for p in chart.payloads],
+            [[r.where, r.start, r.end, r.count_offset] for r in chart.records],
+            [[offset, value] for offset, value in chart.pointers],
+        ])
+        plans.append([spec.name for spec in plan_faults(image, 25)])
+    assert hashlib.sha256(json.dumps(charts).encode()).hexdigest() == CHART_DIGEST
+    assert hashlib.sha256(json.dumps(plans).encode()).hexdigest() == PLAN_DIGEST
+
+
+def stored_payload(db, where: str) -> tuple[str, bytes]:
+    """The swap group of a chart position and the payload the database
+    holds there."""
+    if match := re.fullmatch(r"(\w+)\(r=(\d+),c=(\d+)\)", where):
+        table, row, column = match.groups()
+        return (
+            f"cell:{table}:{column}", db.table(table).get_row(int(row))[int(column)]
+        )
+    if match := re.fullmatch(r"idx:(\w+)\[n(\d+)\.(\d+)\]", where):
+        name, node, slot = match.groups()
+        structure = db.index(name).structure
+        return f"index:{name}", structure.node(int(node)).entries[int(slot)].payload
+    name, row = re.fullmatch(r"idx:(\w+)\[(\d+)\]", where).groups()
+    return f"index:{name}", db.index(name).structure.row(int(row)).payload
+
+
+def stored_links(db) -> list[int]:
+    """Every structural reference of the indexes, in image order."""
+    links = []
+    for name in db.index_names:
+        structure = db.index(name).structure
+        links.append(structure.root_id)
+        if isinstance(structure, IndexTable):
+            for row in structure.raw_rows():
+                links += [row.left, row.right, row.sibling]
+        else:
+            for node_id in sorted(structure._nodes):
+                node = structure.node(node_id)
+                links += [node.next_leaf, *node.children]
+    return links
+
+
+PROPERTY_SCHEMA = TableSchema("t", [
+    Column("k", ColumnType.INT),
+    Column("v", ColumnType.TEXT),
+])
+
+
+@pytest.mark.parametrize("slug", ["plain", "append", "aead-eax"])
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(
+    keys=st.lists(st.integers(0, 99), min_size=8, max_size=16, unique=True),
+    deletes=st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True),
+)
+def test_the_chart_holds_what_the_parsed_database_holds(slug, keys, deletes):
+    # Both index kinds; a tree of order 3 splits, deletes leave tombstones.
+    db = EncryptedDatabase(MASTER, CAMPAIGN_CONFIGS[slug][1])
+    db.create_table(PROPERTY_SCHEMA)
+    db.create_index("t_k", "t", "k", kind="table")
+    db.create_index("t_v", "t", "v", kind="btree", order=3)
+    for key in keys:
+        db.insert("t", [key, f"v{key:03d}"])
+    for row in deletes:
+        db.delete_row("t", row)
+    image = dump_database(db)
+    chart = map_image(image)
+    parsed = parse_image(image).database
+    rows = parsed.index("t_k").structure.raw_rows
+    tree = parsed.index("t_v").structure
+    assert any(row.deleted for row in rows())
+    assert tree.node(tree.root_id).children
+
+    assert chart.size == len(image)
+    expected = {
+        f"t(r={row},c={column})"
+        for row in parsed.table("t").row_ids
+        for column in range(2)
+    }
+    expected |= {f"idx:t_k[{row.row_id}]" for row in rows()}
+    expected |= {f"idx:t_v[n{node}.{slot}]" for node, slot, _ in tree.raw_entries()}
+    assert sorted(p.where for p in chart.payloads) == sorted(expected)
+    for span in chart.payloads:
+        (length,) = struct.unpack_from(">I", image, span.prefix_start)
+        assert length == len(span)
+        assert (span.group, image[span.start:span.end]) == stored_payload(
+            parsed, span.where
+        )
+
+    assert [value for _, value in chart.pointers] == stored_links(parsed)
+    for offset, value in chart.pointers:
+        assert struct.unpack_from(">q", image, offset) == (value,)
+
+    counts = Counter(record.count_offset for record in chart.records)
+    for count_at, records in counts.items():
+        assert struct.unpack_from(">q", image, count_at) == (records,)
+    previous = None
+    for record in chart.records:
+        # The records under one count follow it back to back.
+        first = previous is None or previous.count_offset != record.count_offset
+        assert record.start == (record.count_offset + 8 if first else previous.end)
+        assert record.start < record.end
+        previous = record
+
+
+def duplicate_first_record(image: bytes) -> bytes:
+    record = map_image(image).records[0]
+    return FaultSpec(
+        "record-duplicate", 0, (record.start, record.end, record.count_offset)
+    ).apply(image)
+
+
+@pytest.mark.parametrize("damage, error", [
+    (
+        lambda image: image[:-5],
+        "truncated storage image: 98 payload bytes declared, 93 present "
+        "(at offset 5243)",
+    ),
+    (
+        lambda image: image + b"\x00",
+        "1 trailing byte(s) after the last index record (at offset 5341)",
+    ),
+    (duplicate_first_record, "duplicate row 0 in table 'records' (at offset 401)"),
+], ids=["lost-framing", "trailing-bytes", "duplicate-record"])
+def test_map_image_refuses_what_the_strict_loader_refuses(damage, error):
+    # A chart describes the bytes the loader reads, so an image the
+    # strict loader refuses is not charted: both raise the same error.
+    config = CAMPAIGN_CONFIGS["aead-eax"][1]
+    image = damage(dump_database(build_campaign_db(config, 8)))
+    for read in (load_database, map_image):
+        with pytest.raises(StorageFormatError) as excinfo:
+            read(image)
+        assert str(excinfo.value) == error
